@@ -133,41 +133,6 @@ void BM_EncoderForward(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderForward)->Arg(64)->Arg(128)->Arg(192);
 
-// Batched padded inference: range(0) sequences padded to range(1) tokens.
-// Lengths vary from max/2 up to max so the bench pays the padding and
-// masking cost a real mixed-length drain pays, not the no-pad fast case.
-void BM_EncoderForwardBatched(benchmark::State& state) {
-  Rng init(1);
-  nn::EncoderConfig config;
-  config.vocab_size = 6000;
-  config.max_seq_len = 192;
-  nn::TransformerEncoder encoder(config, init);
-  const int batch = static_cast<int>(state.range(0));
-  const int max_len = static_cast<int>(state.range(1));
-  Rng rng(2);
-  std::vector<std::vector<int>> sequences(static_cast<size_t>(batch));
-  int64_t total_tokens = 0;
-  for (int i = 0; i < batch; ++i) {
-    int len = batch > 1 ? max_len / 2 + (i * (max_len - max_len / 2)) /
-                                            (batch - 1)
-                        : max_len;
-    sequences[static_cast<size_t>(i)].resize(static_cast<size_t>(len));
-    for (auto& t : sequences[static_cast<size_t>(i)]) {
-      t = static_cast<int>(rng.Uniform(6000));
-    }
-    total_tokens += len;
-  }
-  std::vector<nn::EncoderBatchItem> items(static_cast<size_t>(batch));
-  for (int i = 0; i < batch; ++i) {
-    items[static_cast<size_t>(i)].token_ids = &sequences[static_cast<size_t>(i)];
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(encoder.ForwardBatch(items, rng, false));
-  }
-  state.SetItemsProcessed(state.iterations() * total_tokens);
-}
-BENCHMARK(BM_EncoderForwardBatched)->Args({8, 64})->Args({8, 192});
-
 void BM_EncoderTrainStep(benchmark::State& state) {
   Rng init(1);
   nn::EncoderConfig config;

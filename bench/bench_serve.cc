@@ -67,21 +67,11 @@ int main() {
     }
   }
 
-  eval::TablePrinter table({"Threads", "Batch", "Requests",
-                            "Throughput (tab/s)", "p50 (ms)", "p99 (ms)",
-                            "p999 (ms)"});
-  // Sequential drains at 1/4/8 workers, then batched drains (workers fold
-  // up to 8 queued requests into one padded encoder forward) at 4/8.
-  struct Config {
-    int threads;
-    int encode_batch;
-  };
-  for (Config cfg : {Config{1, 1}, Config{4, 1}, Config{8, 1}, Config{4, 8},
-                     Config{8, 8}}) {
-    const int threads = cfg.threads;
+  eval::TablePrinter table({"Threads", "Requests", "Throughput (tab/s)",
+                            "p50 (ms)", "p99 (ms)", "p999 (ms)"});
+  for (int threads : {1, 4, 8}) {
     serve::ServiceOptions so;
     so.num_threads = threads;
-    so.encode_batch = cfg.encode_batch;
     so.max_queue = static_cast<int>(requests.size()) + 1;
     // A tight target so the bench exercises the SLO monitor's violation
     // path as well as the compliant one.
@@ -114,18 +104,12 @@ int main() {
     double p50 = PercentileUs(latency_us, 0.5);
     double p99 = PercentileUs(latency_us, 0.99);
     double p999 = PercentileUs(latency_us, 0.999);
-    table.AddRow({std::to_string(threads), std::to_string(cfg.encode_batch),
-                  std::to_string(requests.size()),
+    table.AddRow({std::to_string(threads), std::to_string(requests.size()),
                   eval::TablePrinter::Num(throughput, 1),
                   eval::TablePrinter::Num(p50 / 1000.0, 2),
                   eval::TablePrinter::Num(p99 / 1000.0, 2),
                   eval::TablePrinter::Num(p999 / 1000.0, 2)});
-    // Sequential configs keep their historical metric names; batched ones
-    // get a ".batchN" tag so bench_compare tracks them independently.
-    std::string prefix = "serve.threads" + std::to_string(threads);
-    if (cfg.encode_batch > 1) {
-      prefix += ".batch" + std::to_string(cfg.encode_batch);
-    }
+    const std::string prefix = "serve.threads" + std::to_string(threads);
     bench::RecordBenchMetric(prefix + ".throughput", throughput,
                              "items_per_second");
     bench::RecordBenchMetric(prefix + ".p50_latency", p50 / 1e6, "seconds");

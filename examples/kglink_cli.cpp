@@ -85,7 +85,6 @@ struct Args {
   int threads = 1;        // --threads N: service worker threads
   int64_t deadline_ms = 0;  // --deadline-ms N: per-request deadline
   int max_queue = 64;     // --max-queue N: admission-control bound
-  int encode_batch = 1;   // --encode-batch N: padded encoder batch drain
   int cell_cache = 4096;  // --cell-cache N: cell-link cache entries (0=off)
   // Overload control (served eval / load eval).
   std::string admission = "static";  // --admission=codel|static
@@ -119,10 +118,6 @@ int Usage() {
       "                   to the PLM-only path instead of blocking\n"
       "  --max-queue N    admission-control queue bound (default 64);\n"
       "                   overflow requests are shed to the degraded path\n"
-      "  --encode-batch N workers drain up to N queued requests into one\n"
-      "                   padded, attention-masked encoder forward\n"
-      "                   (default 1 = sequential); a member whose deadline\n"
-      "                   cannot survive the batch degrades instead\n"
       "  --slo-ms N       served-latency SLO target; HealthJson/--statsz\n"
       "                   report sliding-window compliance and burn rate\n"
       "                   against it (default 100)\n"
@@ -261,11 +256,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!v) return false;
       args->max_queue = std::atoi(v);
       if (args->max_queue < 1) return false;
-    } else if (a == "--encode-batch") {
-      const char* v = next();
-      if (!v) return false;
-      args->encode_batch = std::atoi(v);
-      if (args->encode_batch < 1) return false;
     } else if (a == "--cell-cache") {
       const char* v = next();
       if (!v) return false;
@@ -629,7 +619,6 @@ serve::ServiceOptions ServiceOptionsFromArgs(const Args& args) {
   serve::ServiceOptions sopts;
   sopts.num_threads = args.threads;
   sopts.max_queue = args.max_queue;
-  sopts.encode_batch = args.encode_batch;
   sopts.default_deadline_us = args.deadline_ms * 1000;
   if (args.slo_ms > 0) sopts.slo_target_us = args.slo_ms * 1000;
   sopts.admission =

@@ -33,7 +33,7 @@ cmake -B "$BUILD_DIR" -S . -DKGLINK_WERROR=ON "$@"
 cmake --build "$BUILD_DIR" -j
 if [ "$TSAN" = 1 ]; then
   (cd "$BUILD_DIR/tests" &&
-   for t in serve_test concurrent_chaos_test overload_test encoder_batch_test obs_test robust_test cell_cache_test rolling_window_test metrics_test profiler_test; do
+   for t in serve_test concurrent_chaos_test overload_test layers_test obs_test robust_test cell_cache_test rolling_window_test metrics_test profiler_test; do
      echo "== tsan: $t =="
      ./"$t"
    done)

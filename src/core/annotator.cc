@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <limits>
 
 #include "obs/json_util.h"
@@ -149,142 +148,6 @@ AnnotateOutcome KgLinkAnnotator::AnnotateTable(const table::Table& t,
   return out;
 }
 
-std::vector<AnnotateOutcome> KgLinkAnnotator::AnnotateBatch(
-    const std::vector<const table::Table*>& tables,
-    const std::vector<const RequestContext*>& rcs) {
-  const size_t n = tables.size();
-  KGLINK_CHECK_EQ(rcs.size(), n) << "AnnotateBatch rcs must parallel tables";
-  std::vector<AnnotateOutcome> out(n);
-  if (model_ == nullptr) {
-    for (auto& o : out) {
-      o.status = Status::FailedPrecondition("AnnotateBatch before Fit/Load");
-    }
-    return out;
-  }
-
-  // One pre-computed encode, in the exact order EvalForward will request
-  // them for the owning request: each chunk, then that chunk's non-empty
-  // feature sequences in column order.
-  struct EncodeJob {
-    const std::vector<int>* tokens = nullptr;
-    const std::vector<int>* segments = nullptr;  // null: no segments
-    nn::Tensor hidden;
-  };
-  struct Entry {
-    linker::ProcessedTable processed;
-    std::vector<SerializedTable> chunks;
-    std::deque<std::vector<int>> feature_store;  // stable addresses
-    std::vector<EncodeJob> jobs;
-    bool encode_ready = false;
-  };
-  std::vector<Entry> entries(n);
-  const int vocab_size = model_->config().encoder.vocab_size;
-
-  // Phase 1: Part 1 + the per-request predict gate + serialization and
-  // token validation. Every failure here is scoped to its own request.
-  for (size_t i = 0; i < n; ++i) {
-    Entry& e = entries[i];
-    const RequestContext* rc = rcs[i];
-    e.processed = pipeline_.Process(*tables[i], rc);
-    robust::TableOpContext ctx(
-        pipeline_.config().retry, pipeline_.config().fault_budget,
-        robust::FaultInjector::Global().seed() ^
-            (rc != nullptr ? rc->stream_key : 0),
-        rc);
-    if (!ctx.Attempt(robust::FaultSite::kPredict)) {
-      const char* reason = ctx.degrade_reason();
-      bool expiry = std::strcmp(reason, "deadline") == 0 ||
-                    std::strcmp(reason, "cancelled") == 0;
-      if (!expiry) {
-        out[i].status = Status::Unavailable(
-            std::string("predict failed at fault site ") +
-            robust::FaultSiteName(robust::FaultSite::kPredict));
-        continue;
-      }
-      if (!e.processed.degraded) {
-        e.processed = pipeline_.ProcessDegraded(*tables[i], reason);
-      }
-    }
-
-    e.chunks = serializer_->Serialize(e.processed, LabelSlot::kMask, nullptr,
-                                      options_.use_candidate_types);
-    Status s = Status::Ok();
-    for (const SerializedTable& chunk : e.chunks) {
-      s = CheckEncodeTokens(chunk.tokens, vocab_size);
-      if (!s.ok()) break;
-      e.jobs.push_back({&chunk.tokens, &chunk.segments, {}});
-      for (const SerializedColumn& sc : chunk.columns) {
-        const linker::ColumnKgInfo& info =
-            e.processed.columns[static_cast<size_t>(sc.source_col)];
-        if (!options_.use_feature_vector || !info.has_feature) continue;
-        std::vector<int> ftokens =
-            serializer_->EncodeFeature(info.feature_sequence);
-        if (ftokens.empty()) continue;
-        s = CheckEncodeTokens(ftokens, vocab_size);
-        if (!s.ok()) break;
-        e.feature_store.push_back(std::move(ftokens));
-        e.jobs.push_back({&e.feature_store.back(), nullptr, {}});
-      }
-      if (!s.ok()) break;
-    }
-    if (!s.ok()) {
-      out[i].status = std::move(s);
-      continue;
-    }
-    e.encode_ready = true;
-  }
-
-  // Phase 2: one padded masked forward per segment-presence bucket
-  // (ForwardBatch requires every item in a batch to agree on segments).
-  for (int want_segments = 0; want_segments < 2; ++want_segments) {
-    std::vector<nn::EncoderBatchItem> items;
-    std::vector<EncodeJob*> bucket;
-    for (Entry& e : entries) {
-      if (!e.encode_ready) continue;
-      for (EncodeJob& job : e.jobs) {
-        const bool has_seg =
-            job.segments != nullptr && !job.segments->empty();
-        if (has_seg != (want_segments == 1)) continue;
-        items.push_back({job.tokens, has_seg ? job.segments : nullptr});
-        bucket.push_back(&job);
-      }
-    }
-    if (items.empty()) continue;
-    std::vector<nn::Tensor> hidden =
-        model_->EncodeBatch(items, *rng_, /*training=*/false);
-    for (size_t j = 0; j < bucket.size(); ++j) {
-      bucket[j]->hidden = hidden[j];
-    }
-  }
-
-  // Phase 3: replay each request through the normal eval path, feeding the
-  // pre-computed hidden states back in call order.
-  for (size_t i = 0; i < n; ++i) {
-    Entry& e = entries[i];
-    if (!e.encode_ready) continue;
-    size_t cursor = 0;
-    EncodeFn fn = [&e, &cursor](const std::vector<int>& toks,
-                                const std::vector<int>&) {
-      KGLINK_CHECK_LT(cursor, e.jobs.size())
-          << "batched encode replay drifted from serialization";
-      EncodeJob& job = e.jobs[cursor++];
-      KGLINK_CHECK_EQ(job.tokens->size(), toks.size())
-          << "batched encode replay drifted from serialization";
-      return job.hidden;
-    };
-    {
-      KGLINK_STAGE_TIMER(rcs[i], obs::Stage::kEncode);
-      out[i].status =
-          PredictWithStatus(e.processed, &out[i].predictions, &fn);
-    }
-    KGLINK_CHECK_EQ(cursor, e.jobs.size())
-        << "batched encode replay consumed fewer encodes than planned";
-    out[i].degraded = e.processed.degraded;
-    out[i].degrade_reason = e.processed.degrade_reason;
-  }
-  return out;
-}
-
 AnnotateOutcome KgLinkAnnotator::AnnotateDegraded(const table::Table& t,
                                                   const char* reason) {
   AnnotateOutcome out;
@@ -323,7 +186,7 @@ void KgLinkAnnotator::BuildVocabulary(
 
 Status KgLinkAnnotator::EvalForward(
     const PreparedTable& prepared, std::vector<int>* predictions,
-    std::vector<std::vector<float>>* logits_out, const EncodeFn* encode) {
+    std::vector<std::vector<float>>* logits_out) {
   if (predictions != nullptr) {
     predictions->assign(prepared.processed.columns.size(), 0);
   }
@@ -337,14 +200,9 @@ Status KgLinkAnnotator::EvalForward(
       prepared.processed, LabelSlot::kMask, nullptr,
       options_.use_candidate_types);
   for (const SerializedTable& chunk : msk_chunks) {
-    nn::Tensor hidden;
-    if (encode != nullptr) {
-      hidden = (*encode)(chunk.tokens, chunk.segments);
-    } else {
-      KGLINK_RETURN_IF_ERROR(CheckEncodeTokens(chunk.tokens, vocab_size));
-      hidden = model_->Encode(chunk.tokens, chunk.segments, *rng_,
-                              /*training=*/false);
-    }
+    KGLINK_RETURN_IF_ERROR(CheckEncodeTokens(chunk.tokens, vocab_size));
+    nn::Tensor hidden = model_->Encode(chunk.tokens, chunk.segments, *rng_,
+                                       /*training=*/false);
 
     std::vector<nn::Tensor> composed;
     composed.reserve(chunk.columns.size());
@@ -363,8 +221,6 @@ Status KgLinkAnnotator::EvalForward(
       nn::Tensor fv;
       if (feature_tokens.empty()) {
         fv = nn::Tensor::Zeros({1, dim});
-      } else if (encode != nullptr) {
-        fv = nn::MeanRows((*encode)(feature_tokens, {}));
       } else {
         KGLINK_RETURN_IF_ERROR(CheckEncodeTokens(feature_tokens, vocab_size));
         fv = model_->FeatureVector(feature_tokens, *rng_, /*training=*/false);
@@ -764,8 +620,7 @@ std::vector<int> KgLinkAnnotator::PredictProcessed(
 }
 
 Status KgLinkAnnotator::PredictWithStatus(const linker::ProcessedTable& pt,
-                                          std::vector<int>* predictions,
-                                          const EncodeFn* encode) {
+                                          std::vector<int>* predictions) {
   KGLINK_CHECK(model_ != nullptr) << "PredictTable before Fit/Load";
   PreparedTable prepared;
   prepared.processed = pt;
@@ -774,11 +629,11 @@ Status KgLinkAnnotator::PredictWithStatus(const linker::ProcessedTable& pt,
   obs::ProvenanceRecorder& recorder = obs::ProvenanceRecorder::Global();
   if (recorder.enabled()) {
     std::vector<std::vector<float>> logits;
-    Status s = EvalForward(prepared, predictions, &logits, encode);
+    Status s = EvalForward(prepared, predictions, &logits);
     if (s.ok()) EmitProvenance(pt, logits, *predictions);
     return s;
   }
-  return EvalForward(prepared, predictions, nullptr, encode);
+  return EvalForward(prepared, predictions, nullptr);
 }
 
 Status KgLinkAnnotator::ValidateTokenIds(const std::vector<int>& tokens,

@@ -5,7 +5,6 @@
 #ifndef KGLINK_CORE_ANNOTATOR_H_
 #define KGLINK_CORE_ANNOTATOR_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -119,18 +118,6 @@ class KgLinkAnnotator : public eval::ColumnAnnotator {
   AnnotateOutcome AnnotateTable(const table::Table& t,
                                 const RequestContext* rc = nullptr);
 
-  // Batched serving entry point: Part 1 runs per table, then every PLM
-  // encode across all tables is folded into one padded, attention-masked
-  // batch forward (nn::TransformerEncoder::ForwardBatch), so the per-table
-  // predictions are bit-identical to N sequential AnnotateTable calls.
-  // Outcome i carries table i's own gating result — a request that fails
-  // admission, expires, or carries a bad token id degrades or fails alone
-  // without touching its batchmates. `rcs` must parallel `tables` (null
-  // entries allowed). Same thread-safety as AnnotateTable.
-  std::vector<AnnotateOutcome> AnnotateBatch(
-      const std::vector<const table::Table*>& tables,
-      const std::vector<const RequestContext*>& rcs);
-
   // The degraded PLM-only path directly, skipping Part 1 entirely — used
   // by the service's load shedding, where the KG pipeline is exactly the
   // work there is no budget for. Same thread-safety as AnnotateTable.
@@ -169,12 +156,6 @@ class KgLinkAnnotator : public eval::ColumnAnnotator {
  private:
   struct PreparedTable;  // cached Part-1 output + label ids
 
-  // Supplies the hidden states EvalForward would otherwise compute with
-  // model_->Encode. The batched path pre-computes every encode in one
-  // padded forward and replays the results through this seam.
-  using EncodeFn = std::function<nn::Tensor(const std::vector<int>& tokens,
-                                            const std::vector<int>& segments)>;
-
   // Builds the vocabulary from training-table text, candidate types,
   // feature sequences and label names.
   void BuildVocabulary(const std::vector<PreparedTable>& prepared);
@@ -189,19 +170,16 @@ class KgLinkAnnotator : public eval::ColumnAnnotator {
                       std::vector<std::vector<float>>* logits_out = nullptr);
 
   // Eval-mode forward pass (the serving hot path). Validates token ids
-  // before every encode and classifies per column; `encode`, when set,
-  // replaces model_->Encode (validation then belongs to the caller).
-  // On a non-OK return `predictions` keeps its full-width zero fill.
+  // before every encode and classifies per column. On a non-OK return
+  // `predictions` keeps its full-width zero fill.
   Status EvalForward(const PreparedTable& prepared,
                      std::vector<int>* predictions,
-                     std::vector<std::vector<float>>* logits_out,
-                     const EncodeFn* encode = nullptr);
+                     std::vector<std::vector<float>>* logits_out);
 
   // PredictProcessed with the failure surfaced: builds the unlabeled
   // PreparedTable, runs EvalForward and emits provenance when armed.
   Status PredictWithStatus(const linker::ProcessedTable& pt,
-                           std::vector<int>* predictions,
-                           const EncodeFn* encode = nullptr);
+                           std::vector<int>* predictions);
 
   // Emits one table record plus one record per column into the global
   // ProvenanceRecorder: BM25 hits with per-term score breakdowns, filter

@@ -22,12 +22,6 @@ nn::Tensor KgLinkModel::Encode(const std::vector<int>& tokens,
   return encoder_.Forward(tokens, segments, rng, training);
 }
 
-std::vector<nn::Tensor> KgLinkModel::EncodeBatch(
-    const std::vector<nn::EncoderBatchItem>& items, Rng& rng,
-    bool training) const {
-  return encoder_.ForwardBatch(items, rng, training);
-}
-
 nn::Tensor KgLinkModel::FeatureVector(const std::vector<int>& feature_tokens,
                                       Rng& rng, bool training) const {
   if (feature_tokens.empty()) {

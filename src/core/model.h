@@ -37,13 +37,6 @@ class KgLinkModel {
                     const std::vector<int>& segments, Rng& rng,
                     bool training) const;
 
-  // Encodes N sequences in one padded, attention-masked forward pass; in
-  // inference each output is bit-identical to the sequential Encode of the
-  // same sequence (see nn::TransformerEncoder::ForwardBatch).
-  std::vector<nn::Tensor> EncodeBatch(
-      const std::vector<nn::EncoderBatchItem>& items, Rng& rng,
-      bool training) const;
-
   // Mean-pooled feature vector from a feature-sequence encoding, or an
   // all-zero constant when the column has no KG feature.
   nn::Tensor FeatureVector(const std::vector<int>& feature_tokens, Rng& rng,

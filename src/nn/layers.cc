@@ -74,12 +74,6 @@ MultiHeadAttention::MultiHeadAttention(int dim, int num_heads, Rng& rng,
 }
 
 Tensor MultiHeadAttention::Forward(const Tensor& x) const {
-  return ForwardPadded(x, {x.rows()}, x.rows());
-}
-
-Tensor MultiHeadAttention::ForwardPadded(const Tensor& x,
-                                         const std::vector<int>& seq_lens,
-                                         int pad_len) const {
   KGLINK_PROFILE_FRAME("attn");
   Tensor q, k, v;
   {
@@ -94,8 +88,9 @@ Tensor MultiHeadAttention::ForwardPadded(const Tensor& x,
     KGLINK_PROFILE_FRAME("attn.scores");
     // One fused op instead of the per-head
     // SliceCols/MatMul/Scale/Softmax/MatMul/ConcatCols chain: same math,
-    // bit-identical per valid row, ~10x fewer tape nodes.
-    ctx = MaskedAttention(q, k, v, num_heads_, scale, seq_lens, pad_len);
+    // ~10x fewer tape nodes. One sequence of L rows is the unpadded case.
+    const int len = x.rows();
+    ctx = MaskedAttention(q, k, v, num_heads_, scale, {len}, len);
   }
   KGLINK_PROFILE_FRAME("attn.proj");
   return o_.Forward(ctx);
@@ -122,15 +117,8 @@ TransformerLayer::TransformerLayer(int dim, int num_heads, int ffn_dim,
 
 Tensor TransformerLayer::Forward(const Tensor& x, Rng& rng,
                                  bool training) const {
-  return ForwardPadded(x, {x.rows()}, x.rows(), rng, training);
-}
-
-Tensor TransformerLayer::ForwardPadded(const Tensor& x,
-                                       const std::vector<int>& seq_lens,
-                                       int pad_len, Rng& rng,
-                                       bool training) const {
   KGLINK_PROFILE_FRAME(profile_name_);
-  Tensor a = attn_.ForwardPadded(ln1_.Forward(x), seq_lens, pad_len);
+  Tensor a = attn_.Forward(ln1_.Forward(x));
   Tensor h = Add(x, Dropout(a, dropout_, rng, training));
   Tensor f;
   {
@@ -196,78 +184,6 @@ Tensor TransformerEncoder::Forward(const std::vector<int>& token_ids,
   }
   for (const auto& layer : layers_) h = layer.Forward(h, rng, training);
   return final_ln_.Forward(h);
-}
-
-std::vector<Tensor> TransformerEncoder::ForwardBatch(
-    const std::vector<EncoderBatchItem>& items, Rng& rng,
-    bool training) const {
-  KGLINK_CHECK(!items.empty());
-  const int n = static_cast<int>(items.size());
-  const bool has_segments =
-      items[0].segment_ids != nullptr && !items[0].segment_ids->empty();
-  std::vector<int> lens(n);
-  int pad_len = 0;
-  for (int i = 0; i < n; ++i) {
-    KGLINK_CHECK(items[i].token_ids != nullptr && !items[i].token_ids->empty())
-        << "ForwardBatch item " << i << " has no tokens";
-    const bool item_has_segments = items[i].segment_ids != nullptr &&
-                                   !items[i].segment_ids->empty();
-    KGLINK_CHECK_EQ(item_has_segments, has_segments)
-        << "ForwardBatch items must agree on segment presence";
-    if (item_has_segments) {
-      KGLINK_CHECK_EQ(items[i].segment_ids->size(),
-                      items[i].token_ids->size());
-    }
-    lens[i] = TruncatedLen(items[i].token_ids->size(), config_.max_seq_len);
-    pad_len = std::max(pad_len, lens[i]);
-  }
-
-  // Flat [n * pad_len] id planes. Pad slots use token/segment id 0 and the
-  // in-row position id — any valid ids work, because masking guarantees no
-  // valid output row ever reads a padded row's activations.
-  const size_t total = static_cast<size_t>(n) * pad_len;
-  std::vector<int> tok(total, 0);
-  std::vector<int> pos(total);
-  std::vector<int> seg;
-  if (has_segments) seg.assign(total, 0);
-  for (int i = 0; i < n; ++i) {
-    const size_t base = static_cast<size_t>(i) * pad_len;
-    std::copy_n(items[i].token_ids->data(), lens[i], tok.data() + base);
-    std::copy_n(pos_ids_.data(), pad_len, pos.data() + base);
-    if (has_segments) {
-      std::copy_n(items[i].segment_ids->data(), lens[i], seg.data() + base);
-    }
-  }
-
-  KGLINK_PROFILE_FRAME("encoder.forward_batch");
-  Tensor h;
-  {
-    KGLINK_PROFILE_FRAME("encoder.embedding");
-    h = Add(EmbeddingLookup(tok_emb_, tok.data(), static_cast<int>(total)),
-            EmbeddingLookup(pos_emb_, pos.data(), static_cast<int>(total)));
-    if (has_segments) {
-      h = Add(h, EmbeddingLookup(seg_emb_, seg.data(),
-                                 static_cast<int>(total)));
-    }
-    h = emb_ln_.Forward(h);
-    h = Dropout(h, config_.dropout, rng, training);
-  }
-  for (const auto& layer : layers_) {
-    h = layer.ForwardPadded(h, lens, pad_len, rng, training);
-  }
-  h = final_ln_.Forward(h);
-
-  // Masked extraction: output i carries only its valid rows, so callers
-  // index it exactly like a sequential Forward result.
-  std::vector<Tensor> out;
-  out.reserve(n);
-  std::vector<int> idx;
-  for (int i = 0; i < n; ++i) {
-    idx.resize(lens[i]);
-    std::iota(idx.begin(), idx.end(), i * pad_len);
-    out.push_back(Rows(h, idx));
-  }
-  return out;
 }
 
 std::vector<NamedParam> TransformerEncoder::Parameters() const {

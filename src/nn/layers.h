@@ -60,14 +60,6 @@ class MultiHeadAttention {
   MultiHeadAttention(int dim, int num_heads, Rng& rng, std::string name);
 
   Tensor Forward(const Tensor& x) const;
-  // Batched padded variant: x is [seq_lens.size() * pad_len, d] with
-  // sequence b occupying rows [b*pad_len, b*pad_len + seq_lens[b]).
-  // Attention is masked structurally (see nn::MaskedAttention): valid rows
-  // never attend to padding, and each valid row's output is bit-identical
-  // to running Forward on that sequence alone. Forward(x) is the
-  // single-sequence special case (one sequence, pad_len == L).
-  Tensor ForwardPadded(const Tensor& x, const std::vector<int>& seq_lens,
-                       int pad_len) const;
   void CollectParams(std::vector<NamedParam>* out) const;
 
  private:
@@ -84,12 +76,6 @@ class TransformerLayer {
                    Rng& rng, std::string name);
 
   Tensor Forward(const Tensor& x, Rng& rng, bool training) const;
-  // Batched padded variant; see MultiHeadAttention::ForwardPadded for the
-  // layout. Padded rows flow through the residual/FFN path (they are cheap
-  // and keep every op a plain dense kernel) but never influence a valid
-  // row, and callers drop them when extracting per-sequence outputs.
-  Tensor ForwardPadded(const Tensor& x, const std::vector<int>& seq_lens,
-                       int pad_len, Rng& rng, bool training) const;
   void CollectParams(std::vector<NamedParam>* out) const;
 
  private:
@@ -129,15 +115,6 @@ struct EncoderConfig {
   }
 };
 
-// One sequence in a TransformerEncoder::ForwardBatch call. Pointers keep
-// the batch assembly zero-copy; `segment_ids` may be null or point to an
-// empty vector (all-zero segments), but every item in one batch must agree
-// on whether segments are present.
-struct EncoderBatchItem {
-  const std::vector<int>* token_ids = nullptr;
-  const std::vector<int>* segment_ids = nullptr;
-};
-
 // BERT-style encoder: token + position embeddings, N transformer layers,
 // final LayerNorm. Input is one token-id sequence; output is [L, dim].
 class TransformerEncoder {
@@ -156,16 +133,6 @@ class TransformerEncoder {
   Tensor Forward(const std::vector<int>& token_ids,
                  const std::vector<int>& segment_ids, Rng& rng,
                  bool training) const;
-
-  // Encodes N sequences in one padded forward pass: sequences are padded
-  // to the batch max length, attention is masked so no valid position sees
-  // padding, and the padded rows are dropped on extraction. Output i has
-  // exactly items[i]'s (possibly truncated) length in rows. In inference
-  // each output is bit-identical to the corresponding sequential
-  // Forward(); under training the dropout RNG stream differs from the
-  // sequential order (one draw pass over the padded batch).
-  std::vector<Tensor> ForwardBatch(const std::vector<EncoderBatchItem>& items,
-                                   Rng& rng, bool training) const;
 
   const EncoderConfig& config() const { return config_; }
   const Tensor& token_embedding() const { return tok_emb_; }

@@ -23,10 +23,6 @@ struct ServeMetrics {
   obs::Gauge& inflight;
   obs::Histogram& latency_us;     // queue wait + work, end to end
   obs::Histogram& queue_wait_us;  // queue wait alone
-  // Achieved drain size per worker wakeup, recorded only when
-  // options.encode_batch > 1 — shows how full the padded encoder batches
-  // actually run (1 = batching configured but the queue had one request).
-  obs::Histogram& batch_size;
   std::array<obs::Counter*, kNumRequestStatuses> by_status;
 
   static ServeMetrics& Get() {
@@ -37,8 +33,6 @@ struct ServeMetrics {
           reg.GetGauge("serve.inflight"),
           reg.GetHistogram("serve.latency_us"),
           reg.GetHistogram("serve.queue_wait_us"),
-          reg.GetHistogram("serve.encode.batch_size",
-                           obs::HistogramBuckets::Exponential(1, 2, 7)),
           {}};
       for (int i = 0; i < kNumRequestStatuses; ++i) {
         metrics->by_status[static_cast<size_t>(i)] = &reg.GetCounter(
@@ -67,10 +61,6 @@ ServiceOptions ValidatedServiceOptions(ServiceOptions options) {
   };
   if (options.num_threads < 1) options.num_threads = 1;
   if (options.max_queue < 1) options.max_queue = 1;
-  if (options.encode_batch < 1) {
-    options.encode_batch = 1;
-    clamp_warn("encode_batch");
-  }
   if (options.default_deadline_us < 0) {
     options.default_deadline_us = 0;
     clamp_warn("default_deadline_us");
@@ -281,7 +271,7 @@ AnnotationResult AnnotationService::RunShedInline(const table::Table& table,
 
 void AnnotationService::WorkerLoop() {
   for (;;) {
-    std::vector<Request> batch;
+    Request req;
     {
       std::unique_lock<std::mutex> lock(mu_);
       // paused_ holds dispatch during a snapshot reload's swap window;
@@ -291,49 +281,28 @@ void AnnotationService::WorkerLoop() {
       cv_.wait(lock,
                [&] { return stopping_ || (!paused_ && !queue_.empty()); });
       if (queue_.empty()) return;  // stopping_ and fully drained
-      while (!queue_.empty() &&
-             static_cast<int>(batch.size()) < options_.encode_batch) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      req = std::move(queue_.front());
+      queue_.pop_front();
       ServeMetrics::Get().queue_depth.Set(
           static_cast<double>(queue_.size()));
       // Counted before mu_ is released: a reload quiescing under mu_
-      // either still sees each drained request in the queue or already
-      // sees it inflight — never in between. The whole batch joins the
-      // inflight count atomically so the quiesce wait covers every member.
-      inflight_ += static_cast<int>(batch.size());
+      // either still sees the request in the queue or already sees it
+      // inflight — never in between.
+      ++inflight_;
       ServeMetrics::Get().inflight.Set(static_cast<double>(inflight_));
     }
-    if (options_.encode_batch > 1) {
-      ServeMetrics::Get().batch_size.Record(
-          static_cast<double>(batch.size()));
-    }
-    const int64_t now = NowMicros();
-    std::vector<int64_t> sojourns(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      sojourns[i] = now - batch[i].enqueue_us;
-      if (sojourns[i] < 0) sojourns[i] = 0;
-      codel_->OnDequeue(sojourns[i]);
-    }
+    int64_t sojourn_us = NowMicros() - req.enqueue_us;
+    if (sojourn_us < 0) sojourn_us = 0;
+    codel_->OnDequeue(sojourn_us);
     // Work already queued keeps running when the ladder reaches the refuse
     // tier — refusal applies at admission — but at most at the PLM-only
     // tier so the backlog drains at the cheap rate.
     BrownoutTier tier = brownout_->tier();
     if (tier == BrownoutTier::kRefuse) tier = BrownoutTier::kPlmOnly;
-    if (batch.size() > 1 && tier == BrownoutTier::kFull) {
-      // Fold the drained requests into one padded encoder forward. Below
-      // the full tier the requests run the cheap degraded paths, where
-      // batching buys nothing — fall through to the sequential loop.
-      RunBatch(batch, sojourns);
-      continue;
-    }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      AnnotationResult result = RunRequest(batch[i], sojourns[i], tier);
-      FinishInflight();
-      CountCompletion(result.status);
-      batch[i].promise.set_value(std::move(result));
-    }
+    AnnotationResult result = RunRequest(req, sojourn_us, tier);
+    FinishInflight();
+    CountCompletion(result.status);
+    req.promise.set_value(std::move(result));
   }
 }
 
@@ -438,14 +407,7 @@ AnnotationResult AnnotationService::RunRequest(Request& req,
       outcome = annotator_->AnnotateDegraded(*req.table, "brownout:plm_only");
       break;
   }
-  FinishRun(req, result, std::move(outcome), ElapsedMicros(work), tier);
-  return result;
-}
-
-void AnnotationService::FinishRun(Request& req, AnnotationResult& result,
-                                  core::AnnotateOutcome&& outcome,
-                                  int64_t work_us, BrownoutTier tier) {
-  result.work_us = work_us;
+  result.work_us = ElapsedMicros(work);
   req.rc.telemetry = nullptr;
   ServeMetrics::Get().latency_us.Record(
       static_cast<double>(result.queue_us + result.work_us));
@@ -482,95 +444,10 @@ void AnnotationService::FinishRun(Request& req, AnnotationResult& result,
     // reports can keep accuracy comparisons apples-to-apples per tier.
     result.degrade_reason = "brownout:cache_only";
   }
-  if (tier == BrownoutTier::kFull && result.status == RequestStatus::kOk) {
-    // Full-tier clean completions feed the batch triage estimate. Degraded
-    // and failed runs do less work — folding them in would bias the EWMA
-    // low and over-admit members into batches they cannot afford. The
-    // load-modify-store race between workers is benign: the value is a
-    // smoothing estimate, and every store is a valid recent observation.
-    int64_t prev = work_ewma_us_.load(std::memory_order_relaxed);
-    int64_t next = prev == 0 ? work_us : prev + (work_us - prev) / 8;
-    work_ewma_us_.store(next, std::memory_order_relaxed);
-  }
   tier_completed_[static_cast<size_t>(tier)].fetch_add(
       1, std::memory_order_relaxed);
   ObserveCompletion(*req.table, req.rc, result);
-}
-
-void AnnotationService::RunBatch(std::vector<Request>& batch,
-                                 const std::vector<int64_t>& sojourns) {
-  const size_t n = batch.size();
-  std::vector<AnnotationResult> results(n);
-  for (size_t i = 0; i < n; ++i) {
-    batch[i].rc.telemetry = &results[i].telemetry;
-    results[i].queue_us = sojourns[i];
-    results[i].tier = BrownoutTier::kFull;
-    results[i].telemetry.AddStage(obs::Stage::kQueueWait,
-                                  static_cast<uint64_t>(sojourns[i]));
-    ServeMetrics::Get().queue_wait_us.Record(
-        static_cast<double>(sojourns[i]));
-  }
-
-  // Deadline triage: the batch forward serves its members simultaneously,
-  // so every member waits roughly the whole batch's work time. A member
-  // whose remaining budget cannot absorb n times the per-request work
-  // estimate would expire inside the shared forward — degrade it to the
-  // cheap PLM-only path up front instead. With no estimate yet (cold
-  // start) every member runs; the first full-tier completions seed the
-  // EWMA.
-  const int64_t est = work_ewma_us_.load(std::memory_order_relaxed);
-  std::vector<size_t> run;
-  std::vector<size_t> degrade;
-  run.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    int64_t remaining = batch[i].rc.deadline.RemainingMicros();
-    if (est > 0 && remaining != INT64_MAX &&
-        remaining < est * static_cast<int64_t>(n)) {
-      degrade.push_back(i);
-    } else {
-      run.push_back(i);
-    }
-  }
-
-  // Triaged members resolve before the batch runs — they are the
-  // latency-critical ones by definition, and the degraded pass is cheap.
-  for (size_t i : degrade) {
-    Stopwatch work;
-    core::AnnotateOutcome outcome =
-        annotator_->AnnotateDegraded(*batch[i].table, "batch_deadline");
-    FinishRun(batch[i], results[i], std::move(outcome), ElapsedMicros(work),
-              BrownoutTier::kFull);
-    FinishInflight();
-    CountCompletion(results[i].status);
-    batch[i].promise.set_value(std::move(results[i]));
-  }
-
-  if (!run.empty()) {
-    Stopwatch work;
-    std::vector<const table::Table*> tables;
-    std::vector<const RequestContext*> rcs;
-    tables.reserve(run.size());
-    rcs.reserve(run.size());
-    for (size_t i : run) {
-      tables.push_back(batch[i].table);
-      rcs.push_back(&batch[i].rc);
-    }
-    std::vector<core::AnnotateOutcome> outcomes =
-        annotator_->AnnotateBatch(tables, rcs);
-    // The shared forward serves every surviving member at once, so each is
-    // charged an equal share of the batch's wall time — total work stays
-    // conserved and per-request latency reflects what the caller saw.
-    const int64_t share =
-        ElapsedMicros(work) / static_cast<int64_t>(run.size());
-    for (size_t j = 0; j < run.size(); ++j) {
-      const size_t i = run[j];
-      FinishRun(batch[i], results[i], std::move(outcomes[j]), share,
-                BrownoutTier::kFull);
-      FinishInflight();
-      CountCompletion(results[i].status);
-      batch[i].promise.set_value(std::move(results[i]));
-    }
-  }
+  return result;
 }
 
 void AnnotationService::ObserveCompletion(const table::Table& table,

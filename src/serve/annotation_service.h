@@ -73,12 +73,6 @@ namespace kglink::serve {
 struct ServiceOptions {
   int num_threads = 4;
   int max_queue = 64;
-  // Max queued requests a worker drains into one padded, attention-masked
-  // encoder batch (core::KgLinkAnnotator::AnnotateBatch). 1 (default)
-  // keeps the sequential per-request path. Batching only applies at the
-  // full brownout tier; members whose deadline cannot survive the whole
-  // batch degrade immediately instead of waiting (see RunBatch).
-  int encode_batch = 1;
   // Applied to Submit calls that do not bring their own deadline;
   // 0 = unbounded.
   int64_t default_deadline_us = 0;
@@ -257,7 +251,7 @@ class AnnotationService {
 
  private:
   struct Request {
-    const table::Table* table;
+    const table::Table* table = nullptr;
     RequestContext rc;
     std::promise<AnnotationResult> promise;
     // Enqueue time on the service clock; the dequeue sojourn derived from
@@ -269,19 +263,6 @@ class AnnotationService {
   void WorkerLoop();
   AnnotationResult RunRequest(Request& req, int64_t sojourn_us,
                               BrownoutTier tier);
-  // Runs a drained batch at the full tier: deadline triage (members that
-  // cannot afford the whole batch degrade to the cheap PLM-only path and
-  // resolve first), then one AnnotateBatch over the survivors. Resolves
-  // every request's promise and inflight/completion accounting.
-  void RunBatch(std::vector<Request>& batch,
-                const std::vector<int64_t>& sojourns);
-  // Shared completion tail for worker-run requests: work accounting,
-  // post-process stage remainder, outcome -> status mapping, tier counter
-  // and ObserveCompletion. `result` must already carry queue_us/tier and
-  // the attached telemetry.
-  void FinishRun(Request& req, AnnotationResult& result,
-                 core::AnnotateOutcome&& outcome, int64_t work_us,
-                 BrownoutTier tier);
   // The shed path: degraded PLM-only annotation in the calling thread.
   AnnotationResult RunShedInline(const table::Table& table,
                                  const RequestContext& rc);
@@ -337,10 +318,6 @@ class AnnotationService {
   std::vector<std::thread> workers_;
   std::array<std::atomic<int64_t>, kNumRequestStatuses> completed_{};
   std::array<std::atomic<int64_t>, kNumBrownoutTiers> tier_completed_{};
-  // EWMA of full-tier per-request work time, feeding RunBatch's deadline
-  // triage (degraded runs are excluded — they are an order of magnitude
-  // cheaper and would bias the estimate toward over-admission).
-  std::atomic<int64_t> work_ewma_us_{0};
 };
 
 }  // namespace kglink::serve

@@ -573,87 +573,9 @@ TEST_F(ServeTest, BrownoutLadderClimbsMonotonicallyUnderVirtualClock) {
   EXPECT_NE(health.find("\"tier\": \"refuse\""), std::string::npos) << health;
 }
 
-// --- Batched encode drain ------------------------------------------------
+// --- Encode-path chaos ---------------------------------------------------
 
-TEST_F(ServeTest, BatchedDrainMatchesSequentialPredictions) {
-  constexpr size_t kRequests = 24;
-  std::vector<std::vector<int>> sequential;
-  for (size_t i = 0; i < kRequests; ++i) {
-    sequential.push_back(annotator_->PredictTable(TestTable(i)));
-  }
-
-  obs::Histogram& batch_size = obs::MetricsRegistry::Global().GetHistogram(
-      "serve.encode.batch_size", obs::HistogramBuckets::Exponential(1, 2, 7));
-  const int64_t drains_before = batch_size.count();
-  const double drained_before = batch_size.sum();
-
-  ServiceOptions so;
-  so.num_threads = 2;
-  so.max_queue = 64;
-  so.encode_batch = 4;
-  AnnotationService service(annotator_, so);
-  std::vector<std::future<AnnotationResult>> futures;
-  for (size_t i = 0; i < kRequests; ++i) {
-    futures.push_back(service.Submit(TestTable(i)));
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    AnnotationResult r = futures[i].get();
-    EXPECT_EQ(r.status, RequestStatus::kOk) << "table " << i;
-    // The batched forward is bit-identical to sequential inference, so the
-    // predictions must match exactly — not approximately.
-    EXPECT_EQ(r.predictions, sequential[i]) << "table " << i;
-  }
-  EXPECT_EQ(service.completed(RequestStatus::kOk),
-            static_cast<int64_t>(kRequests));
-
-  // Every worker wakeup recorded its achieved drain size, and with 24
-  // near-simultaneous submissions against 2 workers at least one drain
-  // must have picked up more than one request (sum strictly exceeds the
-  // number of drains).
-  const int64_t drains = batch_size.count() - drains_before;
-  const double drained = batch_size.sum() - drained_before;
-  EXPECT_GE(drains, 1);
-  EXPECT_GT(drained, static_cast<double>(drains));
-}
-
-TEST_F(ServeTest, BatchDeadlineTriageDegradesInsteadOfWaiting) {
-  // Every retrieval sleeps 3ms (the gate sleeps even on cache hits), so a
-  // full-tier table run takes tens of milliseconds. One worker: a blocker
-  // request seeds the work EWMA and pins the worker while two more requests
-  // queue behind it; the worker then drains both as one batch. The member
-  // whose 1ms deadline cannot survive an estimated two-request batch is
-  // triaged onto the degraded path with reason "batch_deadline" and
-  // resolves without waiting for the batch forward.
-  ASSERT_TRUE(robust::FaultInjector::Global()
-                  .ConfigureFromSpec("search.topk:1.0:3000", 3)
-                  .ok());
-  ServiceOptions so;
-  so.num_threads = 1;
-  so.max_queue = 16;
-  so.encode_batch = 4;
-  AnnotationService service(annotator_, so);
-
-  auto blocker = service.Submit(TestTable(0));
-  while (service.queue_depth() > 0) {
-    std::this_thread::yield();  // worker picked the blocker up
-  }
-  auto unhurried = service.Submit(TestTable(1));
-  auto hurried = service.Submit(TestTable(2), Deadline::AfterMillis(1));
-
-  EXPECT_EQ(blocker.get().status, RequestStatus::kOk);
-  AnnotationResult slow = unhurried.get();
-  EXPECT_EQ(slow.status, RequestStatus::kOk);
-  EXPECT_EQ(slow.predictions.size(),
-            static_cast<size_t>(TestTable(1).num_cols()));
-  AnnotationResult fast = hurried.get();
-  EXPECT_EQ(fast.status, RequestStatus::kDegraded);
-  EXPECT_EQ(fast.degrade_reason, "batch_deadline");
-  // Triage still answers full-width via the PLM-only path.
-  EXPECT_EQ(fast.predictions.size(),
-            static_cast<size_t>(TestTable(2).num_cols()));
-}
-
-TEST_F(ServeTest, BatchedChaosBadTokenAndTruncationUnderLoad) {
+TEST_F(ServeTest, ChaosBadTokenAndTruncationUnderLoad) {
   // Regression for the two encode-path process aborts: a corrupt token id
   // and an over-length encoder input. The annotator clamps its encoder
   // window up to the serializer's chunk budget, so chunks always fit — the
@@ -661,7 +583,7 @@ TEST_F(ServeTest, BatchedChaosBadTokenAndTruncationUnderLoad) {
   // sequence, whose token cap is configured independently. A local
   // annotator with a 512-token feature cap against a 32-token encoder
   // window makes feature encodes over-length, and a 25% bad-token fault
-  // corrupts encodes at random — under multi-threaded batched load the
+  // corrupts encodes at random — under multi-threaded load the
   // service must keep the process alive, fail only the poisoned requests
   // (per-request InvalidArgument), truncate the rest, and answer
   // everything.
@@ -694,7 +616,6 @@ TEST_F(ServeTest, BatchedChaosBadTokenAndTruncationUnderLoad) {
   ServiceOptions so;
   so.num_threads = 4;
   so.max_queue = 64;
-  so.encode_batch = 4;
   AnnotationService service(&local, so);
   constexpr int kRequests = 32;
   std::vector<std::future<AnnotationResult>> futures;
