@@ -5,24 +5,26 @@
 //      submit-and-wait, measuring the sustainable no-fault peak goodput.
 //   2. Open-loop overload run at `--rate-multiplier` × that peak (default
 //      2×) with injected faults (default "search.topk:0.1,predict:0.01"),
-//      CoDel admission, the brownout ladder and the process retry budget
-//      all on — the production overload posture. Bursty zipfian arrivals.
+//      the max_queue bound (overflow shed inline or refused) and the
+//      process retry budget on — the production overload posture. Bursty
+//      zipfian arrivals.
 //   3. Gates: goodput under overload ≥ --goodput-floor × peak (0 disables),
 //      and the queue stays bounded (max observed depth ≤ max_queue).
 //   4. Optional --check-determinism: the single-threaded-submission batch
-//      mode twice under the same fault seed (static admission, brownout
-//      and breakers off) must produce byte-identical result checksums.
+//      mode twice under the same fault seed (queue large enough that
+//      nothing is shed, breakers off) must produce byte-identical result
+//      checksums.
 //
 // Emits BENCH_load.json. The machine-portable gate metric is
 // load.goodput_vs_peak (ratio — overload goodput relative to the same
 // machine's no-fault peak); absolute rates/latencies are tracked
-// informationally. Goodput counts every answered request (ok + degraded):
-// under faults the retry budget and breakers convert fault-hit tables to
-// the cheap PLM-only fallback, so the ratio legitimately lands *above*
-// 1.0 on a healthy run — degraded answers cost less than full ones. The
+// informationally. Goodput counts every worker-answered request (ok +
+// degraded): under faults the retry budget and breakers convert fault-hit
+// tables to the cheap PLM-only fallback, so the ratio legitimately lands
+// *above* 1.0 on a healthy run — degraded answers cost less than full
+// ones. load.ok_share and load.degraded_share show that composition. The
 // floor is what matters: a refuse storm, retry storm or unbounded queue
 // drags answered throughput below it.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -176,9 +178,9 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Goodput under overload (load/chaos harness)",
       "Closed-loop capacity probe, then an open-loop overload run at a "
-      "multiple of the measured peak with injected faults, CoDel "
-      "admission, the brownout ladder and the retry budget engaged. The "
-      "gate is goodput retention relative to the same machine's peak.");
+      "multiple of the measured peak with injected faults, the queue "
+      "bound and the retry budget engaged. The gate is goodput retention "
+      "relative to the same machine's peak.");
 
   // The same deliberately small model as bench_serve: this harness
   // measures the overload machinery, not model quality.
@@ -256,31 +258,6 @@ int main(int argc, char** argv) {
     serve::ServiceOptions so;
     so.num_threads = flags.threads;
     so.max_queue = flags.max_queue;
-    so.admission = serve::AdmissionMode::kCodel;
-    so.brownout.enabled = true;
-    // Admission/SLO targets are scaled to the measured capacity, not
-    // hard-coded: one mean service time (threads / peak rate) for the
-    // CoDel sojourn target and 12x it for the SLO target. An absolute
-    // target would park the ladder at refuse on any machine where it is
-    // unachievable (a TSan CI runner is ~10x slower) and achieve nothing
-    // on a faster one; scaling keeps the gate about the overload
-    // machinery, not the host.
-    int64_t mean_service_us = std::max<int64_t>(
-        1'000,
-        static_cast<int64_t>(1e6 * flags.threads / peak_goodput));
-    so.codel.target_us = mean_service_us;
-    so.codel.interval_us = 10 * mean_service_us;
-    so.slo_target_us = 12 * mean_service_us;
-    // Short/long burn windows and the dwell all fit well inside
-    // duration_s so the ladder can move — and move back.
-    so.slo_short_window_us = 1'000'000;
-    so.slo_long_window_us = 3'000'000;
-    so.brownout.dwell_us = 300'000;
-    // Climb on sustained burn (>2x budget), recover as soon as the short
-    // window is back under budget: a wide band so burst blips do not
-    // ratchet the ladder to refuse and hold it there.
-    so.brownout.step_up_burn = 2.0;
-    so.brownout.step_down_burn = 1.0;
     so.retry_budget_per_second = 25.0;
     serve::AnnotationService service(&annotator, so);
     serve::LoadgenOptions over = lg;
@@ -335,14 +312,18 @@ int main(int argc, char** argv) {
           serve::RequestStatus::kOverloaded)]) /
           submitted,
       "share");
-  for (int i = 0; i < serve::kNumBrownoutTiers; ++i) {
-    bench::RecordBenchMetric(
-        std::string("load.tier_share.") +
-            serve::BrownoutTierName(static_cast<serve::BrownoutTier>(i)),
-        static_cast<double>(overload.by_tier[static_cast<size_t>(i)]) /
-            submitted,
-        "share");
-  }
+  bench::RecordBenchMetric(
+      "load.ok_share",
+      static_cast<double>(
+          overload.by_status[static_cast<size_t>(serve::RequestStatus::kOk)]) /
+          submitted,
+      "share");
+  bench::RecordBenchMetric(
+      "load.degraded_share",
+      static_cast<double>(overload.by_status[static_cast<size_t>(
+          serve::RequestStatus::kDegraded)]) /
+          submitted,
+      "share");
   bench::RecordBenchMetric(
       "load.retry_budget_denied",
       static_cast<double>(robust::RetryBudget::Global().denied()), "count");
@@ -367,7 +348,7 @@ int main(int argc, char** argv) {
   }
 
   // Phase 3 (optional): per-seed determinism of the chaos batch mode.
-  // Single-threaded submission, static admission, brownout + breakers off;
+  // Single-threaded submission, a queue nothing overflows, breakers off;
   // per-request fault streams make the 4-thread worker pool immaterial.
   if (flags.check_determinism) {
     serve::LoadgenOptions batch = lg;
@@ -408,7 +389,7 @@ int main(int argc, char** argv) {
   if (failed) return 1;
   std::printf(
       "\nNo paper counterpart: KGLink reports offline accuracy only. This "
-      "harness gates the overload posture (CoDel admission, brownout "
-      "ladder, retry budget) added on top.\n");
+      "harness gates the overload posture (max_queue bound, retry budget) "
+      "added on top.\n");
   return 0;
 }

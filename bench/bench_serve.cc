@@ -7,7 +7,9 @@
 // deadline/breaker checks — separately from model quality. The sliding
 // window/SLO sections of HealthJson are printed per thread count, so a
 // bench run doubles as a smoke test that they move (they are windowed,
-// not cumulative).
+// not cumulative). Every row also reports the cell-link cache hit rate
+// over its own requests: the thread counts run back to back against one
+// annotator, so only the first row starts cold.
 #include <algorithm>
 #include <cstdio>
 #include <future>
@@ -17,6 +19,7 @@
 #include "bench/bench_common.h"
 #include "obs/json_util.h"
 #include "obs/request_telemetry.h"
+#include "search/cell_link_cache.h"
 #include "serve/annotation_service.h"
 #include "util/stopwatch.h"
 
@@ -29,6 +32,18 @@ double PercentileUs(std::vector<double> v, double p) {
   std::sort(v.begin(), v.end());
   size_t idx = static_cast<size_t>(p * static_cast<double>(v.size()));
   return v[std::min(idx, v.size() - 1)];
+}
+
+// Cumulative cell-link cache lookups; zero when the cache is disabled.
+struct CacheCounts {
+  int64_t hits = 0;
+  int64_t misses = 0;
+};
+
+CacheCounts ReadCacheCounts(const core::KgLinkAnnotator& annotator) {
+  const search::CellLinkCache* cache = annotator.cell_cache();
+  if (cache == nullptr) return {};
+  return {cache->hits(), cache->misses()};
 }
 
 }  // namespace
@@ -68,7 +83,8 @@ int main() {
   }
 
   eval::TablePrinter table({"Threads", "Requests", "Throughput (tab/s)",
-                            "p50 (ms)", "p99 (ms)", "p999 (ms)"});
+                            "p50 (ms)", "p99 (ms)", "p999 (ms)",
+                            "Cache hit rate"});
   for (int threads : {1, 4, 8}) {
     serve::ServiceOptions so;
     so.num_threads = threads;
@@ -78,6 +94,7 @@ int main() {
     so.slo_target_us = 20'000;
     serve::AnnotationService service(&annotator, so);
 
+    const CacheCounts cache_before = ReadCacheCounts(annotator);
     Stopwatch wall;
     std::vector<std::future<serve::AnnotationResult>> futures;
     futures.reserve(requests.size());
@@ -94,6 +111,12 @@ int main() {
       }
     }
     double seconds = wall.ElapsedSeconds();
+    const CacheCounts cache_after = ReadCacheCounts(annotator);
+    const int64_t hits = cache_after.hits - cache_before.hits;
+    const int64_t lookups = hits + cache_after.misses - cache_before.misses;
+    double cache_hit_rate =
+        lookups > 0 ? static_cast<double>(hits) / static_cast<double>(lookups)
+                    : 0.0;
     // Snapshot the sliding-window health while the requests are still
     // inside the window; printed so bench runs show the windowed (not
     // cumulative) view moving between thread counts.
@@ -108,7 +131,8 @@ int main() {
                   eval::TablePrinter::Num(throughput, 1),
                   eval::TablePrinter::Num(p50 / 1000.0, 2),
                   eval::TablePrinter::Num(p99 / 1000.0, 2),
-                  eval::TablePrinter::Num(p999 / 1000.0, 2)});
+                  eval::TablePrinter::Num(p999 / 1000.0, 2),
+                  eval::TablePrinter::Num(cache_hit_rate, 3)});
     const std::string prefix = "serve.threads" + std::to_string(threads);
     bench::RecordBenchMetric(prefix + ".throughput", throughput,
                              "items_per_second");
@@ -116,6 +140,8 @@ int main() {
     bench::RecordBenchMetric(prefix + ".p99_latency", p99 / 1e6, "seconds");
     bench::RecordBenchMetric(prefix + ".p999_latency", p999 / 1e6,
                              "seconds");
+    bench::RecordBenchMetric(prefix + ".cache_hit_rate", cache_hit_rate,
+                             "share");
 
     // Per-stage breakdown shares (exclusive stage time / total stage
     // time). Unit "share" is informational in bench_compare — the mix

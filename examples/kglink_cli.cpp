@@ -87,8 +87,6 @@ struct Args {
   int max_queue = 64;     // --max-queue N: admission-control bound
   int cell_cache = 4096;  // --cell-cache N: cell-link cache entries (0=off)
   // Overload control (served eval / load eval).
-  std::string admission = "static";  // --admission=codel|static
-  bool brownout = false;             // --brownout: degradation ladder on
   double retry_budget = 0.0;  // --retry-budget N: retry tokens/s (0=off)
   // Load-eval (eval with --load-rate > 0): open-loop arrivals against the
   // service instead of one submission per test table.
@@ -123,13 +121,6 @@ int Usage() {
       "                   against it (default 100)\n"
       "\n"
       "overload control (served eval / load eval):\n"
-      "  --admission=MODE static (queue-full bound only, default) or codel\n"
-      "                   (CoDel: shed on sustained queue sojourn above\n"
-      "                   target — the hard bound still applies)\n"
-      "  --brownout       enable the degradation ladder full -> cache-only\n"
-      "                   linking -> PLM-only -> refuse, stepped by the SLO\n"
-      "                   burn rate with hysteresis; results carry the tier\n"
-      "                   in degrade_reason (\"brownout:...\")\n"
       "  --retry-budget N process-wide retry token budget (tokens/s, burst\n"
       "                   2N; 0 = off). An exhausted budget degrades the\n"
       "                   operation instead of retrying\n"
@@ -261,26 +252,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!v) return false;
       args->cell_cache = std::atoi(v);
       if (args->cell_cache < 0) return false;
-    } else if (a.rfind("--admission=", 0) == 0 || a == "--admission") {
-      const char* v;
-      std::string held;
-      if (a == "--admission") {
-        v = next();
-        if (!v) return false;
-      } else {
-        held = a.substr(std::strlen("--admission="));
-        v = held.c_str();
-      }
-      args->admission = v;
-      if (!serve::AdmissionModeFromName(args->admission).has_value()) {
-        std::fprintf(stderr,
-                     "kglink_cli: --admission must be 'static' or 'codel', "
-                     "got '%s'\n",
-                     args->admission.c_str());
-        return false;
-      }
-    } else if (a == "--brownout") {
-      args->brownout = true;
     } else if (a == "--retry-budget") {
       const char* v = next();
       if (!v) return false;
@@ -621,10 +592,6 @@ serve::ServiceOptions ServiceOptionsFromArgs(const Args& args) {
   sopts.max_queue = args.max_queue;
   sopts.default_deadline_us = args.deadline_ms * 1000;
   if (args.slo_ms > 0) sopts.slo_target_us = args.slo_ms * 1000;
-  sopts.admission =
-      serve::AdmissionModeFromName(args.admission).value_or(
-          serve::AdmissionMode::kStatic);
-  sopts.brownout.enabled = args.brownout;
   sopts.retry_budget_per_second = args.retry_budget;
   return sopts;
 }
@@ -702,16 +669,6 @@ int ServedEval(const Args& args, WorldSource& src,
                   static_cast<long long>(n));
     }
   }
-  if (args.brownout) {
-    for (int t = 0; t < serve::kNumBrownoutTiers; ++t) {
-      auto tier = static_cast<serve::BrownoutTier>(t);
-      int64_t n = service.tier_completed(tier);
-      if (n > 0) {
-        std::printf("  tier %-10s %lld\n", serve::BrownoutTierName(tier),
-                    static_cast<long long>(n));
-      }
-    }
-  }
   if (obs::Profiler::Global().running()) {
     // Hot-frame summary for the serving run (export happens at exit).
     std::fputs(obs::Profiler::Global().SummaryText().c_str(), stdout);
@@ -774,9 +731,7 @@ int Eval(const Args& args) {
   if (args.load_rate > 0) {
     return LoadEval(args, src, annotator, *test);
   }
-  if (args.threads > 1 || args.deadline_ms > 0 || args.brownout ||
-      args.retry_budget > 0 ||
-      args.admission != "static") {
+  if (args.threads > 1 || args.deadline_ms > 0 || args.retry_budget > 0) {
     return ServedEval(args, src, annotator, *test);
   }
   eval::Metrics m = annotator.Evaluate(*test);

@@ -30,8 +30,8 @@ BENCH_load.json (bench_load, the overload/chaos harness) follows these
 conventions: load.goodput_vs_peak is a ratio (higher is better — this is
 the machine-portable gate metric, overload goodput relative to the same
 machine's no-fault peak), load.*_per_second are items_per_second,
-load.p*_latency are seconds, and the shed/refusal/tier mixes are "share"
-(informational: tier_share.full rising is good, refused_share rising is
+load.p*_latency are seconds, and the ok/degraded/shed/refusal mixes are
+"share" (informational: ok_share rising is good, refused_share rising is
 bad, so no single direction applies).
 
 --include SUBSTR (repeatable) restricts the comparison to metrics whose

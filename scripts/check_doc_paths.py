@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fails if a src/ path cited in the design docs does not exist.
+"""Fails if a src/ path or a README.md flag cited in the docs does not exist.
 
 Usage:
     scripts/check_doc_paths.py [DOC ...]     # default: DESIGN.md README.md
@@ -8,8 +8,15 @@ Every token starting with `src/` in each document is taken as a path
 relative to the repository root. Citations may use shell globs
 (`src/obs/profiler*`, `src/data/world.*`) and brace alternatives
 (`src/nn/gemm.{h,cc}`); every brace alternative must match at least one
-file or directory. Exits 1 and lists each dangling citation with its
-line number, so renamed or deleted modules cannot linger in the docs.
+file or directory.
+
+Every `--flag` inside an inline backtick span of README.md must also
+appear as a `"--flag` string literal in a file under examples/, bench/ or
+scripts/ — the places that parse command lines. Fenced code blocks are
+skipped (they also show cmake, ctest and google-benchmark flags).
+
+Exits 1 and lists each dangling citation with its line number, so renamed
+or deleted modules and flags cannot linger in the docs.
 """
 import glob
 import os
@@ -21,6 +28,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # `perfbench/src/x` or `build/src/x` are not citations of the source tree).
 PATH_RE = re.compile(r"(?<![\w/.-])src/[\w./*{},-]*")
 BRACE_RE = re.compile(r"\{([^{}]*)\}")
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+FLAG_DOC = "README.md"
+FLAG_DIRS = ("examples", "bench", "scripts")
 
 
 def expand_braces(pattern):
@@ -57,6 +68,45 @@ def check(doc):
     return failures
 
 
+def cited_flags(doc):
+    """Yields (lineno, flag) for each flag in an inline backtick span."""
+    in_fence = False
+    with open(os.path.join(ROOT, doc), encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if line.lstrip().startswith("```"):
+                in_fence = not in_fence
+                continue
+            if in_fence:
+                continue
+            for span in SPAN_RE.findall(line):
+                for flag in FLAG_RE.findall(span):
+                    yield lineno, flag
+
+
+def parser_sources():
+    sources = []
+    for top in FLAG_DIRS:
+        for dirpath, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in files:
+                with open(os.path.join(dirpath, name), encoding="utf-8",
+                          errors="replace") as f:
+                    sources.append(f.read())
+    return "\n".join(sources)
+
+
+def check_flags(doc):
+    sources = parser_sources()
+    failures = []
+    seen = {}
+    for lineno, flag in cited_flags(doc):
+        if flag not in seen:
+            literal = re.compile('"' + re.escape(flag) + r"(?![\w-])")
+            seen[flag] = literal.search(sources) is not None
+        if not seen[flag]:
+            failures.append(f"{doc}:{lineno}: {flag}")
+    return failures, len(seen)
+
+
 def main(argv):
     docs = argv or ["DESIGN.md", "README.md"]
     failures = []
@@ -64,10 +114,20 @@ def main(argv):
         failures.extend(check(doc))
     for failure in failures:
         print(f"missing path: {failure}")
+    flag_failures, num_flags = [], 0
+    if FLAG_DOC in docs:
+        flag_failures, num_flags = check_flags(FLAG_DOC)
+    for failure in flag_failures:
+        print(f"unknown flag: {failure}")
     if failures:
         print(f"{len(failures)} cited src/ path(s) do not exist")
+    if flag_failures:
+        print(f"{len(flag_failures)} {FLAG_DOC} flag citation(s) match no "
+              f"\"--flag literal under {', '.join(FLAG_DIRS)}/")
+    if failures or flag_failures:
         return 1
-    print(f"all cited src/ paths exist ({', '.join(docs)})")
+    print(f"all cited src/ paths exist ({', '.join(docs)}); "
+          f"all {num_flags} {FLAG_DOC} flags are parsed")
     return 0
 
 

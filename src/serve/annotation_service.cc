@@ -55,7 +55,6 @@ const char* RequestStatusName(RequestStatus status) {
 }
 
 ServiceOptions ValidatedServiceOptions(ServiceOptions options) {
-  const ServiceOptions defaults;
   auto clamp_warn = [](const char* field) {
     KGLINK_LOG(kWarn, "serve.options.clamped").With("field", field);
   };
@@ -65,20 +64,6 @@ ServiceOptions ValidatedServiceOptions(ServiceOptions options) {
     options.default_deadline_us = 0;
     clamp_warn("default_deadline_us");
   }
-  if (options.codel.target_us < 1) {
-    options.codel.target_us = defaults.codel.target_us;
-    clamp_warn("codel.target_us");
-  }
-  if (options.codel.interval_us < 1) {
-    options.codel.interval_us = defaults.codel.interval_us;
-    clamp_warn("codel.interval_us");
-  }
-  if (options.codel.interval_us < options.codel.target_us) {
-    // An interval shorter than the target would declare a standing queue
-    // off a single slow dequeue.
-    options.codel.interval_us = options.codel.target_us;
-    clamp_warn("codel.interval_us");
-  }
   if (options.retry_budget_per_second < 0.0) {
     options.retry_budget_per_second = 0.0;
     clamp_warn("retry_budget_per_second");
@@ -86,21 +71,6 @@ ServiceOptions ValidatedServiceOptions(ServiceOptions options) {
   if (options.retry_budget_burst < 0.0) {
     options.retry_budget_burst = 0.0;
     clamp_warn("retry_budget_burst");
-  }
-  if (options.brownout.dwell_us < 0) {
-    options.brownout.dwell_us = 0;
-    clamp_warn("brownout.dwell_us");
-  }
-  if (options.brownout.step_up_burn <= 0.0) {
-    options.brownout.step_up_burn = defaults.brownout.step_up_burn;
-    clamp_warn("brownout.step_up_burn");
-  }
-  if (options.brownout.step_down_burn < 0.0 ||
-      options.brownout.step_down_burn >= options.brownout.step_up_burn) {
-    // The hysteresis band must be a band: step-down strictly below step-up
-    // or the ladder would flap on a single threshold.
-    options.brownout.step_down_burn = options.brownout.step_up_burn / 2.0;
-    clamp_warn("brownout.step_down_burn");
   }
   return options;
 }
@@ -122,12 +92,7 @@ AnnotationService::AnnotationService(core::KgLinkAnnotator* annotator,
   slo_options.long_window_us = options_.slo_long_window_us;
   slo_options.num_slots = options_.stats_window_slots;
   slo_ = std::make_unique<obs::SloMonitor>(slo_options, options_.clock);
-  codel_ = std::make_unique<CodelAdmissionController>(options_.codel,
-                                                      options_.clock);
-  brownout_ =
-      std::make_unique<BrownoutController>(options_.brownout, options_.clock);
   for (auto& c : completed_) c.store(0, std::memory_order_relaxed);
-  for (auto& c : tier_completed_) c.store(0, std::memory_order_relaxed);
   if (options_.enable_circuit_breakers) {
     robust::BreakerRegistry::Global().Enable(options_.breaker);
   }
@@ -167,7 +132,6 @@ std::future<AnnotationResult> AnnotationService::Submit(
   bool open = false;
   bool paused = false;
   bool shed = false;
-  bool refused_brownout = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // The stream key is assigned to every submission — accepted or not —
@@ -176,34 +140,19 @@ std::future<AnnotationResult> AnnotationService::Submit(
     req.rc.stream_key = next_stream_key_++;
     open = accepting_;
     paused = paused_;
-    if (open && brownout_->tier() == BrownoutTier::kRefuse) {
-      // Top rung of the ladder: even the inline shed path costs a predict
-      // pass per table, which is exactly the capacity the ladder is trying
-      // to claw back. Refuse outright.
-      refused_brownout = true;
-    } else if (open) {
-      // CoDel sheds on sustained queue sojourn even when the queue has
-      // room — a standing queue at any depth means every admitted request
-      // pays the backlog. Static mode only sheds on the depth bound.
-      bool codel_shed = options_.admission == AdmissionMode::kCodel &&
-                        !paused && !queue_.empty() && codel_->ShouldShed();
-      if (!codel_shed &&
-          static_cast<int>(queue_.size()) < options_.max_queue) {
-        req.enqueue_us = NowMicros();
-        queue_.push_back(std::move(req));
-        ServeMetrics::Get().queue_depth.Set(
-            static_cast<double>(queue_.size()));
-        enqueued = true;
-      } else if (!paused && !req.rc.Expired()) {
-        // Shed (queue full, or CoDel says the sojourn is out of control).
-        // The degraded run calls into the annotator, so it joins the
-        // quiesce-tracked inflight count from inside the lock — a snapshot
-        // reload that sees inflight == 0 under mu_ knows no shed run is
-        // active or can start before the swap finishes.
-        shed = true;
-        ++inflight_;
-        ServeMetrics::Get().inflight.Set(static_cast<double>(inflight_));
-      }
+    if (open && static_cast<int>(queue_.size()) < options_.max_queue) {
+      req.enqueue_us = NowMicros();
+      queue_.push_back(std::move(req));
+      ServeMetrics::Get().queue_depth.Set(static_cast<double>(queue_.size()));
+      enqueued = true;
+    } else if (open && !paused && !req.rc.Expired()) {
+      // Queue full: shed. The degraded run calls into the annotator, so it
+      // joins the quiesce-tracked inflight count from inside the lock — a
+      // snapshot reload that sees inflight == 0 under mu_ knows no shed run
+      // is active or can start before the swap finishes.
+      shed = true;
+      ++inflight_;
+      ServeMetrics::Get().inflight.Set(static_cast<double>(inflight_));
     }
   }
   if (enqueued) {
@@ -211,11 +160,10 @@ std::future<AnnotationResult> AnnotationService::Submit(
     return future;
   }
 
-  // Admission refused. A closed service, a mid-reload pause, a spent
-  // deadline, or the refuse brownout tier means even the cheap path is
-  // pointless: refuse outright. Otherwise shed load by running the
-  // degraded PLM-only path right here in the caller's thread — the queue
-  // and workers never see the request.
+  // Admission refused. A closed service, a mid-reload pause or a spent
+  // deadline means even the cheap path is pointless: refuse outright.
+  // Otherwise shed load by running the degraded PLM-only path right here
+  // in the caller's thread — the queue and workers never see the request.
   AnnotationResult result;
   if (shed) {
     result = RunShedInline(table, req.rc);
@@ -223,12 +171,6 @@ std::future<AnnotationResult> AnnotationService::Submit(
   } else if (!open) {
     result.status = RequestStatus::kOverloaded;
     result.error = Status::Unavailable("annotation service is shut down");
-  } else if (refused_brownout) {
-    result.status = RequestStatus::kOverloaded;
-    result.tier = BrownoutTier::kRefuse;
-    result.error = Status::Unavailable("brownout ladder at refuse tier");
-    tier_completed_[static_cast<size_t>(BrownoutTier::kRefuse)].fetch_add(
-        1, std::memory_order_relaxed);
   } else if (paused) {
     result.status = RequestStatus::kOverloaded;
     result.error =
@@ -291,15 +233,9 @@ void AnnotationService::WorkerLoop() {
       ++inflight_;
       ServeMetrics::Get().inflight.Set(static_cast<double>(inflight_));
     }
-    int64_t sojourn_us = NowMicros() - req.enqueue_us;
-    if (sojourn_us < 0) sojourn_us = 0;
-    codel_->OnDequeue(sojourn_us);
-    // Work already queued keeps running when the ladder reaches the refuse
-    // tier — refusal applies at admission — but at most at the PLM-only
-    // tier so the backlog drains at the cheap rate.
-    BrownoutTier tier = brownout_->tier();
-    if (tier == BrownoutTier::kRefuse) tier = BrownoutTier::kPlmOnly;
-    AnnotationResult result = RunRequest(req, sojourn_us, tier);
+    int64_t queue_us = NowMicros() - req.enqueue_us;
+    if (queue_us < 0) queue_us = 0;
+    AnnotationResult result = RunRequest(req, queue_us);
     FinishInflight();
     CountCompletion(result.status);
     req.promise.set_value(std::move(result));
@@ -375,38 +311,20 @@ AnnotationService::serving_snapshot() const {
 }
 
 AnnotationResult AnnotationService::RunRequest(Request& req,
-                                               int64_t sojourn_us,
-                                               BrownoutTier tier) {
+                                               int64_t queue_us) {
   AnnotationResult result;
   // The record lives in the result; the context carries a borrowed pointer
   // down the stack for the duration of the annotate call.
   req.rc.telemetry = &result.telemetry;
-  result.queue_us = sojourn_us;
-  result.tier = tier;
+  result.queue_us = queue_us;
   result.telemetry.AddStage(obs::Stage::kQueueWait,
                             static_cast<uint64_t>(result.queue_us));
   ServeMetrics::Get().queue_wait_us.Record(
       static_cast<double>(result.queue_us));
 
   Stopwatch work;
-  core::AnnotateOutcome outcome;
-  switch (tier) {
-    case BrownoutTier::kFull:
-      outcome = annotator_->AnnotateTable(*req.table, &req.rc);
-      break;
-    case BrownoutTier::kCacheOnly:
-      // Middle rung: the full pipeline runs, but entity linking may only
-      // consult the frozen cell-link cache — a miss is an unlinkable cell,
-      // the retrieval engine is never touched.
-      req.rc.cache_only_linking = true;
-      outcome = annotator_->AnnotateTable(*req.table, &req.rc);
-      break;
-    default:
-      // kPlmOnly (and refuse-tier leftovers already clamped by the caller):
-      // skip KG evidence entirely, predict from the table alone.
-      outcome = annotator_->AnnotateDegraded(*req.table, "brownout:plm_only");
-      break;
-  }
+  core::AnnotateOutcome outcome =
+      annotator_->AnnotateTable(*req.table, &req.rc);
   result.work_us = ElapsedMicros(work);
   req.rc.telemetry = nullptr;
   ServeMetrics::Get().latency_us.Record(
@@ -438,14 +356,6 @@ AnnotationResult AnnotationService::RunRequest(Request& req,
   } else {
     result.status = RequestStatus::kOk;
   }
-  if (tier == BrownoutTier::kCacheOnly && result.status == RequestStatus::kOk &&
-      result.degrade_reason.empty()) {
-    // Tier marker on clean results served below the full tier, so eval
-    // reports can keep accuracy comparisons apples-to-apples per tier.
-    result.degrade_reason = "brownout:cache_only";
-  }
-  tier_completed_[static_cast<size_t>(tier)].fetch_add(
-      1, std::memory_order_relaxed);
   ObserveCompletion(*req.table, req.rc, result);
   return result;
 }
@@ -456,9 +366,6 @@ void AnnotationService::ObserveCompletion(const table::Table& table,
   int64_t total_us = result.total_us();
   latency_window_->Record(static_cast<double>(total_us));
   slo_->Record(total_us);
-  // Every completion re-evaluates the ladder off the burn-rate snapshot —
-  // the controller's own dwell gate bounds the transition rate.
-  brownout_->Update(slo_->Snap());
 
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   if (!recorder.enabled()) return;
@@ -508,11 +415,6 @@ void AnnotationService::Shutdown() {
 
 int64_t AnnotationService::completed(RequestStatus status) const {
   return completed_[static_cast<size_t>(status)].load(
-      std::memory_order_relaxed);
-}
-
-int64_t AnnotationService::tier_completed(BrownoutTier tier) const {
-  return tier_completed_[static_cast<size_t>(tier)].load(
       std::memory_order_relaxed);
 }
 
@@ -574,21 +476,6 @@ std::string AnnotationService::HealthJson() const {
   out += "}";
   out += ", \"window\": " + latency_window_->SnapshotJson();
   out += ", \"slo\": " + slo_->SnapshotJson();
-  out += std::string(", \"admission\": {\"mode\": \"") +
-         AdmissionModeName(options_.admission) + "\", " +
-         codel_->SnapshotJsonFields() + "}";
-  out += std::string(", \"brownout\": {\"enabled\": ") +
-         (options_.brownout.enabled ? "true" : "false");
-  out += std::string(", \"tier\": \"") +
-         BrownoutTierName(brownout_->tier()) + "\"";
-  out += ", \"transitions\": " + std::to_string(brownout_->transitions());
-  out += ", \"completed\": {";
-  for (int i = 0; i < kNumBrownoutTiers; ++i) {
-    if (i > 0) out += ", ";
-    out += std::string("\"") + BrownoutTierName(static_cast<BrownoutTier>(i)) +
-           "\": " + std::to_string(tier_completed(static_cast<BrownoutTier>(i)));
-  }
-  out += "}}";
   out += ", \"retry_budget\": " + robust::RetryBudget::Global().SnapshotJson();
   if (attached) {
     // Load/failure/quarantine totals come from the store's process-wide

@@ -2,9 +2,9 @@
 // control and circuit breakers — the serving harness around
 // core::KgLinkAnnotator.
 //
-// Architecture (one PR-sized subsystem, three cooperating pieces):
+// Architecture (three cooperating pieces):
 //
-//   Submit ──► admission controller ──► bounded queue ──► worker pool
+//   Submit ──► max_queue admission ───► bounded queue ──► worker pool
 //                │ (full queue)                             │
 //                └─► shed: degraded PLM-only run inline,    ├─► deadline /
 //                    or kOverloaded when the deadline       │   cancellation
@@ -19,18 +19,10 @@
 //   pass. An expired request short-circuits to the degraded PLM-only
 //   ProcessedTable (degrade_reason "deadline" / "cancelled") — full-width
 //   predictions, never a crash or a partial result.
-// - The admission controller bounds the queue: when it is full the caller
-//   thread runs the degraded PLM-only path inline (status kShed) if the
-//   request's deadline still allows, else the request is refused
-//   (kOverloaded) without touching the model. With admission mode kCodel, a
-//   CoDel controller additionally sheds on *sustained queue sojourn time*
-//   (serve/overload.h) — arrivals are shed before the hard bound is hit
-//   whenever dequeues keep observing a standing queue above target.
-// - The brownout ladder (full → cache-only linking → PLM-only → refuse)
-//   steps on the SLO monitor's burn signal with hysteresis; every result
-//   carries the tier it ran at, and non-full tiers mark degrade_reason
-//   ("brownout:cache_only" / "brownout:plm_only") so eval reports stay
-//   apples-to-apples per tier.
+// - Admission is the hard max_queue bound: when the queue is full the
+//   caller thread runs the degraded PLM-only path inline (status kShed) if
+//   the request's deadline still allows, else the request is refused
+//   (kOverloaded) without touching the model.
 // - Per-site circuit breakers (the fault-injection site names: search.topk,
 //   kg.neighbors, predict, ...) trip on rolling post-retry error rates and
 //   fail fast while open, with half-open probes after a cooldown.
@@ -61,7 +53,6 @@
 #include "obs/request_telemetry.h"
 #include "obs/rolling_window.h"
 #include "robust/circuit_breaker.h"
-#include "serve/overload.h"
 #include "store/snapshot_store.h"
 #include "table/table.h"
 #include "util/deadline.h"
@@ -91,31 +82,21 @@ struct ServiceOptions {
   int64_t stats_window_us = 10'000'000;
   int stats_window_slots = 10;
 
-  // ---- Overload control (see serve/overload.h) -----------------------
-  // kStatic keeps the hard max_queue bound only; kCodel layers sojourn-
-  // based shedding on top of it.
-  AdmissionMode admission = AdmissionMode::kStatic;
-  CodelOptions codel;
-  // Brownout degradation ladder; inert unless brownout.enabled.
-  BrownoutOptions brownout;
   // Process-wide retry budget enforced while this service is live;
   // 0 disables (retries stay bounded per table only). burst 0 defaults to
   // 2× the per-second rate.
   double retry_budget_per_second = 0.0;
   double retry_budget_burst = 0.0;
-  // Injectable monotonic-microseconds clock driving admission, brownout,
-  // the retry budget and queue-sojourn measurement. Empty = steady clock;
-  // tests inject a virtual clock for deterministic overload behavior.
+  // Injectable monotonic-microseconds clock driving the latency/SLO
+  // windows, the retry budget and queue-wait measurement. Empty = steady
+  // clock; tests inject a virtual clock for deterministic behavior.
   obs::ClockMicrosFn clock;
 };
 
-// Clamps nonsensical overload-control parameters to sane values (warning
-// logged per clamp) instead of letting a misconfigured service run
-// silently: non-positive CoDel target/interval fall back to defaults, the
-// interval is at least the target, negative retry-budget values become 0,
-// and an inverted brownout hysteresis band (step_down >= step_up) is
-// pulled back under step_up. Applied by the constructor; exposed so CLI
-// flag validation can reject the same inputs loudly.
+// Clamps nonsensical parameters to sane values instead of letting a
+// misconfigured service run silently: at least one thread and one queue
+// slot, and negative deadline / retry-budget values become 0 (warning
+// logged per clamp). Applied by the constructor.
 ServiceOptions ValidatedServiceOptions(ServiceOptions options);
 
 // Terminal state of one request. Ordered roughly by "how much work ran".
@@ -140,13 +121,9 @@ struct AnnotationResult {
   RequestStatus status = RequestStatus::kOk;
   // Per original column; empty only for kOverloaded / kFailed.
   std::vector<int> predictions;
-  // Set for kDegraded / kShed / kCancelled, and as a tier marker
-  // ("brownout:cache_only") on kOk results served below the full tier.
+  // Set for kDegraded / kShed / kCancelled.
   std::string degrade_reason;
   Status error;                // set for kOverloaded / kFailed
-  // The ladder rung this request was served at (kRefuse for brownout
-  // refusals; kFull for every non-brownout admission outcome).
-  BrownoutTier tier = BrownoutTier::kFull;
   int64_t queue_us = 0;        // time spent waiting for a worker
   int64_t work_us = 0;         // time spent annotating
   // Per-stage accounting for this request. The service always fills queue
@@ -215,9 +192,6 @@ class AnnotationService {
   //  "inflight":…, "completed":{status:count,…},
   //  "window":{window_s,count,mean_us,p50_us,p99_us,p999_us},
   //  "slo":{target_us,objective,burning,short:{…},long:{…}},
-  //  "admission":{mode,target_us,interval_us,sojourn_ewma_us,overloaded,
-  //               sheds},
-  //  "brownout":{enabled,tier,transitions,completed:{tier:count,…}},
   //  "retry_budget":{enabled[,tokens_per_second,burst,fill,granted,
   //                  denied]},
   //  "snapshot":{attached,generation,sequence,source,reloading,
@@ -239,13 +213,6 @@ class AnnotationService {
   // resolutions performed in Submit).
   int64_t completed(RequestStatus status) const;
 
-  // Requests resolved at each brownout ladder rung: worker-run completions
-  // count at the tier they executed (queued work runs at most kPlmOnly),
-  // admission refusals at the refuse tier count under kRefuse. Shed and
-  // non-brownout refusals are not tiered — their status counts cover them.
-  int64_t tier_completed(BrownoutTier tier) const;
-  BrownoutTier brownout_tier() const { return brownout_->tier(); }
-
   int queue_depth() const;
   const ServiceOptions& options() const { return options_; }
 
@@ -254,15 +221,14 @@ class AnnotationService {
     const table::Table* table = nullptr;
     RequestContext rc;
     std::promise<AnnotationResult> promise;
-    // Enqueue time on the service clock; the dequeue sojourn derived from
-    // it feeds both the CoDel controller and the result's queue_us.
+    // Enqueue time on the service clock; the result's queue_us is the
+    // dequeue time minus this.
     int64_t enqueue_us = 0;
   };
 
   int64_t NowMicros() const;
   void WorkerLoop();
-  AnnotationResult RunRequest(Request& req, int64_t sojourn_us,
-                              BrownoutTier tier);
+  AnnotationResult RunRequest(Request& req, int64_t queue_us);
   // The shed path: degraded PLM-only annotation in the calling thread.
   AnnotationResult RunShedInline(const table::Table& table,
                                  const RequestContext& rc);
@@ -285,11 +251,6 @@ class AnnotationService {
   // Sliding-window latency stats and SLO burn tracking (HealthJson).
   std::unique_ptr<obs::RollingWindow> latency_window_;
   std::unique_ptr<obs::SloMonitor> slo_;
-  // Overload control: sojourn-based admission (fed on every dequeue, so
-  // HealthJson shows the sojourn estimate in static mode too) and the
-  // brownout ladder (inert unless options_.brownout.enabled).
-  std::unique_ptr<CodelAdmissionController> codel_;
-  std::unique_ptr<BrownoutController> brownout_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -317,7 +278,6 @@ class AnnotationService {
 
   std::vector<std::thread> workers_;
   std::array<std::atomic<int64_t>, kNumRequestStatuses> completed_{};
-  std::array<std::atomic<int64_t>, kNumBrownoutTiers> tier_completed_{};
 };
 
 }  // namespace kglink::serve

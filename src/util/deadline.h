@@ -111,12 +111,6 @@ struct RequestContext {
   // handled by one thread at a time, so writes need no synchronization.
   obs::RequestTelemetry* telemetry = nullptr;
 
-  // Brownout tier marker (set by the serving layer before dispatch): entity
-  // linking may use only the cell-link cache — a cache miss becomes an
-  // unlinkable cell instead of a fresh retrieval. The middle rung between
-  // the full pipeline and the PLM-only degraded path.
-  bool cache_only_linking = false;
-
   bool Expired() const { return cancel.Cancelled() || deadline.IsExpired(); }
 
   // Degrade reason for an expired context. Cancellation wins ties so a

@@ -464,7 +464,7 @@ TEST_F(ServeTest, RepeatedHardFailuresTripTheSearchBreaker) {
             short_circuits_before);
 }
 
-// --- Overload control: CoDel admission and the brownout ladder -----------
+// --- Overload control: the hard queue bound ----------------------------
 
 TEST_F(ServeTest, QueueDepthStaysBoundedUnderSustainedSubmit) {
   // One worker pinned by 2ms-per-retrieval latency faults while the caller
@@ -478,9 +478,6 @@ TEST_F(ServeTest, QueueDepthStaysBoundedUnderSustainedSubmit) {
   ServiceOptions so;
   so.num_threads = 1;
   so.max_queue = 4;
-  so.admission = AdmissionMode::kCodel;
-  so.codel.target_us = 1'000;
-  so.codel.interval_us = 10'000;
   AnnotationService service(annotator_, so);
 
   constexpr int kRequests = 40;
@@ -507,70 +504,6 @@ TEST_F(ServeTest, QueueDepthStaysBoundedUnderSustainedSubmit) {
                 service.completed(RequestStatus::kOverloaded),
             1);
   EXPECT_LE(service.queue_depth(), so.max_queue);
-}
-
-TEST_F(ServeTest, BrownoutLadderClimbsMonotonicallyUnderVirtualClock) {
-  // Virtual clock + a 1us SLO target: every completion is a violation, so
-  // the burn signal stays lit and each request (with one dwell period
-  // advanced between them) climbs exactly one rung — full, cache_only,
-  // plm_only — until admission refuses at the top.
-  int64_t now_us = 1'000'000;
-  ServiceOptions so;
-  so.num_threads = 1;
-  so.slo_target_us = 1;
-  so.slo_short_window_us = 10'000'000;
-  so.slo_long_window_us = 60'000'000;
-  so.brownout.enabled = true;
-  so.brownout.dwell_us = 50'000;
-  so.brownout.step_up_burn = 1.0;
-  so.clock = [&now_us] { return now_us; };
-  AnnotationService service(annotator_, so);
-
-  std::vector<BrownoutTier> observed;
-  std::vector<AnnotationResult> results;
-  for (int i = 0; i < 4; ++i) {
-    results.push_back(service.Submit(TestTable(static_cast<size_t>(i))).get());
-    observed.push_back(service.brownout_tier());
-    now_us += so.brownout.dwell_us * 2;
-  }
-  // Monotone ascent, at most one rung per completion.
-  for (size_t i = 1; i < observed.size(); ++i) {
-    int prev = static_cast<int>(observed[i - 1]);
-    int cur = static_cast<int>(observed[i]);
-    EXPECT_GE(cur, prev) << "rung " << i;
-    EXPECT_LE(cur - prev, 1) << "rung " << i;
-  }
-  EXPECT_EQ(service.brownout_tier(), BrownoutTier::kRefuse);
-
-  // Each request runs at the tier read at its dequeue, and the ladder
-  // steps at completion — so the served tier trails the observed tier by
-  // one request: full, full, cache_only, plm_only.
-  EXPECT_EQ(results[0].tier, BrownoutTier::kFull);
-  EXPECT_EQ(results[1].tier, BrownoutTier::kFull);
-  EXPECT_EQ(results[2].tier, BrownoutTier::kCacheOnly);
-  // No faults and no deadline: the cache-only run completes ok, and the
-  // tier marker is stamped into its degrade_reason for eval bookkeeping.
-  EXPECT_EQ(results[2].status, RequestStatus::kOk);
-  EXPECT_EQ(results[2].degrade_reason, "brownout:cache_only");
-  EXPECT_EQ(results[3].tier, BrownoutTier::kPlmOnly);
-  EXPECT_EQ(results[3].status, RequestStatus::kDegraded);
-  EXPECT_EQ(results[3].degrade_reason, "brownout:plm_only");
-
-  // At the refuse rung new arrivals are rejected at admission.
-  AnnotationResult refused = service.Submit(TestTable(0)).get();
-  EXPECT_EQ(refused.status, RequestStatus::kOverloaded);
-  EXPECT_EQ(refused.tier, BrownoutTier::kRefuse);
-  EXPECT_TRUE(refused.predictions.empty());
-  EXPECT_NE(refused.error.message().find("brownout"), std::string::npos);
-
-  EXPECT_EQ(service.tier_completed(BrownoutTier::kFull), 2);
-  EXPECT_EQ(service.tier_completed(BrownoutTier::kCacheOnly), 1);
-  EXPECT_EQ(service.tier_completed(BrownoutTier::kPlmOnly), 1);
-  EXPECT_EQ(service.tier_completed(BrownoutTier::kRefuse), 1);
-
-  // The ladder state is an operator-visible health field.
-  std::string health = service.HealthJson();
-  EXPECT_NE(health.find("\"tier\": \"refuse\""), std::string::npos) << health;
 }
 
 // --- Encode-path chaos ---------------------------------------------------
