@@ -7,9 +7,9 @@
 # --sanitize builds with ASan+UBSan (KGLINK_SANITIZE=ON) into a separate
 # build-asan/ tree. --tsan builds with ThreadSanitizer
 # (KGLINK_SANITIZE=thread) into build-tsan/ and runs only the concurrency
-# tests (the serving path, chaos, obs and robust suites) — TSan's happens-
-# before checking is what certifies the shared read paths race-free. Any
-# other argument is forwarded to cmake configure (e.g.
+# tests (the serving path, chaos, obs, robust and linker suites) — TSan's
+# happens-before checking is what certifies the shared read paths
+# race-free. Any other argument is forwarded to cmake configure (e.g.
 # scripts/check.sh -DKGLINK_ENABLE_TRACING=OFF).
 set -eu
 
@@ -33,7 +33,7 @@ cmake -B "$BUILD_DIR" -S . -DKGLINK_WERROR=ON "$@"
 cmake --build "$BUILD_DIR" -j
 if [ "$TSAN" = 1 ]; then
   (cd "$BUILD_DIR/tests" &&
-   for t in serve_test concurrent_chaos_test overload_test layers_test obs_test robust_test cell_cache_test rolling_window_test metrics_test profiler_test; do
+   for t in serve_test concurrent_chaos_test overload_test layers_test obs_test robust_test cell_cache_test rolling_window_test metrics_test profiler_test linker_test; do
      echo "== tsan: $t =="
      ./"$t"
    done)

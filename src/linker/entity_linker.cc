@@ -1,8 +1,7 @@
 #include "linker/entity_linker.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
 
 #include "obs/metrics.h"
 #include "obs/request_telemetry.h"
@@ -25,6 +24,51 @@ struct LinkerMetrics {
         reg.GetCounter("linker.candidates.retrieved"),
         reg.GetCounter("linker.candidates.kept")};
     return m;
+  }
+};
+
+// Per-thread LinkRow scratch. The neighbour counter is dense over entity
+// ids and cleared by bumping a stamp per column (the TopKScratch idiom of
+// search_engine.cc); it grows to the largest KG seen by the thread. The
+// support tallies are one row's, flattened over columns.
+struct OverlapScratch {
+  struct Slot {
+    int32_t count = 0;
+    uint32_t stamp = 0;
+  };
+  std::vector<Slot> slots;
+  uint32_t cur = 0;
+  std::vector<int> support;       // Eq. 6 support per candidate
+  std::vector<size_t> col_begin;  // column c's candidates start here
+
+  void Grow(size_t num_entities) {
+    if (slots.size() < num_entities) slots.resize(num_entities);
+  }
+  void NextColumn() {
+    if (++cur == 0) {  // stamp wrap: invalidate everything once per 2^32
+      for (Slot& slot : slots) slot.stamp = 0;
+      cur = 1;
+    }
+  }
+  void Add(kg::EntityId e) {
+    Slot& slot = slots[static_cast<size_t>(e)];
+    if (slot.stamp == cur) {
+      ++slot.count;
+    } else {
+      slot.stamp = cur;
+      slot.count = 1;
+    }
+  }
+  // Ids outside the KG count as unsupported instead of reading out of
+  // bounds.
+  int Count(kg::EntityId e) const {
+    size_t i = static_cast<size_t>(e);
+    return i < slots.size() && slots[i].stamp == cur ? slots[i].count : 0;
+  }
+
+  static OverlapScratch& Get() {
+    thread_local OverlapScratch scratch;
+    return scratch;
   }
 };
 
@@ -125,39 +169,49 @@ RowLinks EntityLinker::LinkRow(const table::Table& table, int row,
     }
   }
 
-  // One-hop neighbour multiset of each cell's retrieved entities:
-  // neighbour entity -> number of supporting candidates in that cell.
-  // "kg.neighbors" is a soft fault site: a trip drops one candidate's
-  // neighbour evidence (it just loses overlap support) without retries.
-  std::vector<std::unordered_map<kg::EntityId, int>> neighbor_counts(
-      static_cast<size_t>(cols));
-  for (int c = 0; c < cols; ++c) {
-    for (const EntityCandidate& cand : out.cells[static_cast<size_t>(c)].retrieved) {
+  // Eq. 3 pruning + Eq. 6 overlap scores: a candidate's support is the
+  // number of candidate entities in the *other* columns that have it as a
+  // one-hop neighbour; it is kept when the support is positive. Column
+  // c2's neighbour multiset goes into the stamped counter, then is read
+  // once per candidate of every other column c1.
+  OverlapScratch& s = OverlapScratch::Get();
+  s.Grow(static_cast<size_t>(kg_->num_entities()));
+  s.col_begin.assign(1, 0);
+  for (const CellLinks& cell : out.cells) {
+    s.col_begin.push_back(s.col_begin.back() + cell.retrieved.size());
+  }
+  s.support.assign(s.col_begin.back(), 0);
+  for (int c2 = 0; c2 < cols; ++c2) {
+    s.NextColumn();
+    for (const EntityCandidate& cand :
+         out.cells[static_cast<size_t>(c2)].retrieved) {
+      // "kg.neighbors" is a soft fault site: a trip drops one candidate's
+      // neighbour evidence (it just loses overlap support) without
+      // retries. Draws run column by column, candidate by candidate.
       if (ctx != nullptr &&
           ctx->SoftFault(robust::FaultSite::kKgNeighbors)) {
         continue;
       }
-      for (kg::EntityId nbr : kg_->NeighborSet(cand.entity)) {
-        ++neighbor_counts[static_cast<size_t>(c)][nbr];
+      for (kg::EntityId nbr : kg_->NeighborSet(cand.entity)) s.Add(nbr);
+    }
+    for (int c1 = 0; c1 < cols; ++c1) {
+      if (c1 == c2) continue;
+      const std::vector<EntityCandidate>& cands1 =
+          out.cells[static_cast<size_t>(c1)].retrieved;
+      size_t begin = s.col_begin[static_cast<size_t>(c1)];
+      for (size_t i = 0; i < cands1.size(); ++i) {
+        s.support[begin + i] += s.Count(cands1[i].entity);
       }
     }
   }
 
-  // Eq. 3 pruning + Eq. 6 overlap scores: keep a candidate when it appears
-  // in at least one other column's neighbour set; its overlap score counts
-  // the supporting candidate entities across all other columns.
   int64_t total_kept = 0;
   for (int c1 = 0; c1 < cols; ++c1) {
     CellLinks& cell = out.cells[static_cast<size_t>(c1)];
-    for (const EntityCandidate& cand : cell.retrieved) {
-      int support = 0;
-      for (int c2 = 0; c2 < cols; ++c2) {
-        if (c2 == c1) continue;
-        auto it = neighbor_counts[static_cast<size_t>(c2)].find(cand.entity);
-        if (it != neighbor_counts[static_cast<size_t>(c2)].end()) {
-          support += it->second;
-        }
-      }
+    size_t begin = s.col_begin[static_cast<size_t>(c1)];
+    for (size_t i = 0; i < cell.retrieved.size(); ++i) {
+      const EntityCandidate& cand = cell.retrieved[i];
+      int support = s.support[begin + i];
       if (support > 0) {
         EntityCandidate pruned = cand;
         pruned.overlap_score = static_cast<double>(support);

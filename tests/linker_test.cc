@@ -1,17 +1,23 @@
 // Part-1 pipeline tests: BM25 cell linking, Eq. 3 pruning, Eq. 4-6 scores,
 // row filtering, candidate-type generation with the PERSON/DATE filter,
 // and feature sequences — on a hand-built KG where the right answers are
-// known exactly.
+// known exactly. A generated world adds the per-thread counter cases:
+// growth across KGs on one thread, and Process from several threads.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <thread>
+#include <vector>
 
+#include "data/corpus_gen.h"
+#include "data/world.h"
 #include "linker/candidate_types.h"
 #include "linker/entity_linker.h"
 #include "linker/feature_sequence.h"
 #include "linker/pipeline.h"
 #include "linker/row_filter.h"
+#include "part1_reference.h"
 #include "robust/fault_injector.h"
 #include "search/search_engine.h"
 
@@ -280,6 +286,129 @@ TEST_F(LinkerFixture, CandidateTypesTolerateShortRows) {
   auto album_types = GenerateCandidateTypes(kg_, rows, /*col=*/0, config_);
   ASSERT_FALSE(album_types.empty());
   EXPECT_EQ(album_types[0].entity, album_type_);
+  // SelectFeatureEntity reads the same cells and skips the short row too.
+  EXPECT_EQ(SelectFeatureEntity(rows, /*col=*/1), peter_);
+  EXPECT_EQ(SelectFeatureEntity(rows, /*col=*/0), rust_);
+  std::vector<RowLinks> only_short = {short_row};
+  EXPECT_EQ(SelectFeatureEntity(only_short, /*col=*/1), kg::kInvalidEntity);
+}
+
+// A generated world far larger than the fixture KG, for the per-thread
+// scratch and concurrency cases.
+struct GeneratedWorld {
+  data::World world;
+  search::SearchEngine engine;
+  table::Corpus corpus;
+  GeneratedWorld()
+      : world(data::GenerateWorld({.seed = 9, .scale = 0.5})),
+        engine(search::IndexKnowledgeGraph(world.kg)),
+        corpus(data::GenerateSemTabCorpus(
+            world, data::CorpusOptions::SemTabDefaults(12))) {}
+};
+
+GeneratedWorld& Generated() {
+  static GeneratedWorld& env = *new GeneratedWorld();
+  return env;
+}
+
+// LinkRow over every row, then candidate types for every column.
+struct Part1Result {
+  std::vector<RowLinks> rows;
+  std::vector<std::vector<CandidateType>> types;
+};
+
+Part1Result RunPart1(const kg::KnowledgeGraph& kg,
+                     const search::SearchEngine& engine,
+                     const table::Table& t, const LinkerConfig& config) {
+  EntityLinker linker(&kg, &engine, config);
+  Part1Result out;
+  for (int r = 0; r < t.num_rows(); ++r) {
+    out.rows.push_back(linker.LinkRow(t, r));
+  }
+  for (int c = 0; c < t.num_cols(); ++c) {
+    out.types.push_back(GenerateCandidateTypes(kg, out.rows, c, config));
+  }
+  return out;
+}
+
+void ExpectSamePart1(const Part1Result& a, const Part1Result& b,
+                     const std::string& where) {
+  ASSERT_EQ(a.rows.size(), b.rows.size()) << where;
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    reference::ExpectSameRow(a.rows[r], b.rows[r],
+                             where + " row " + std::to_string(r));
+  }
+  ASSERT_EQ(a.types.size(), b.types.size()) << where;
+  for (size_t c = 0; c < a.types.size(); ++c) {
+    reference::ExpectSameTypes(a.types[c], b.types[c],
+                               where + " col " + std::to_string(c));
+  }
+}
+
+TEST_F(LinkerFixture, ScratchGrowsAndShrinksAcrossKgsOnOneThread) {
+  // LinkRow and GenerateCandidateTypes keep per-thread counters sized to
+  // the largest KG the thread has seen. One thread runs the small fixture
+  // KG, then a generated world, then the small KG again; every result must
+  // equal what a fresh thread (empty scratch) computes for the same input.
+  GeneratedWorld& big = Generated();
+  const table::Table& big_table = big.corpus.tables[0].table;
+  auto small = [&] { return RunPart1(kg_, *engine_, tbl_, config_); };
+  auto large = [&] {
+    return RunPart1(big.world.kg, big.engine, big_table, config_);
+  };
+  auto on_fresh_thread = [](auto fn) {
+    Part1Result result;
+    std::thread([&] { result = fn(); }).join();
+    return result;
+  };
+
+  Part1Result small_first, large_second, small_third;
+  std::thread([&] {
+    small_first = small();
+    large_second = large();
+    small_third = small();
+  }).join();
+
+  ASSERT_GT(big.world.kg.num_entities(), 50 * kg_.num_entities());
+  ASSERT_FALSE(small_first.types[0].empty());
+  ExpectSamePart1(small_first, on_fresh_thread(small), "small, first");
+  ExpectSamePart1(large_second, on_fresh_thread(large), "large, second");
+  ExpectSamePart1(small_third, on_fresh_thread(small), "small, third");
+}
+
+TEST(LinkerConcurrencyTest, ParallelProcessMatchesSequential) {
+  // Process is const and concurrent by contract; the per-thread counters
+  // must keep it so. Four threads share one pipeline (and its cell cache)
+  // and walk the corpus from different starting tables.
+  GeneratedWorld& env = Generated();
+  KgPipeline pipeline(&env.world.kg, &env.engine, LinkerConfig{});
+  const std::vector<table::LabeledTable>& tables = env.corpus.tables;
+  std::vector<ProcessedTable> sequential;
+  for (const table::LabeledTable& lt : tables) {
+    sequential.push_back(pipeline.Process(lt.table));
+  }
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<ProcessedTable>> parallel(
+      kThreads, std::vector<ProcessedTable>(tables.size()));
+  std::vector<std::thread> workers;
+  for (size_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (size_t k = 0; k < tables.size(); ++k) {
+        size_t i = (k + w * tables.size() / kThreads) % tables.size();
+        parallel[w][i] = pipeline.Process(tables[i].table);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+
+  for (size_t w = 0; w < kThreads; ++w) {
+    for (size_t i = 0; i < tables.size(); ++i) {
+      reference::ExpectSameProcessed(
+          parallel[w][i], sequential[i],
+          "thread " + std::to_string(w) + " " + tables[i].table.id());
+    }
+  }
 }
 
 TEST_F(LinkerFixture, NonAsciiLabelsLinkEndToEnd) {
