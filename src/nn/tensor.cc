@@ -13,7 +13,7 @@
 
 #if defined(__AVX2__)
 #include <immintrin.h>
-#define KGLINK_SOFTMAX_AVX2 1
+#define KGLINK_TENSOR_AVX2 1
 #endif
 
 namespace kglink::nn {
@@ -83,9 +83,10 @@ void RowLogSoftmax(const float* x, float* out, int rows, int cols) {
 // per element — and is the single softmax kernel behind both the Softmax
 // op and the fused MaskedAttention, so fused-vs-composed stays bit-equal.
 //
-// FastExp is a Cephes-style degree-5 polynomial (~1-2 ulp over the range
-// softmax feeds it: arguments are always <= 0 after the row-max subtract,
-// and the low clamp keeps 2^z in normal-float territory). The scalar and
+// FastExp is a Cephes-style degree-5 polynomial (~1-2 ulp). Softmax feeds
+// it arguments <= 0 after the row-max subtract, GELU (below) arguments
+// clamped to <= 80, and the low clamp keeps 2^z in normal-float
+// territory, so 2^z never leaves the float range. The scalar and
 // AVX2 forms evaluate the identical operation sequence lane-wise, and
 // this TU is pinned -ffp-contract=off, so neither form gains an FMA the
 // other lacks — one build's softmax is bit-deterministic regardless of
@@ -116,14 +117,14 @@ inline float FastExp(float x) {
   p = p * (x * x);
   p = p + x;
   p = p + 1.0f;
-  // 2^z through the exponent field; z is in [-126, 0] for softmax inputs.
+  // 2^z through the exponent field; z is in [-126, 115] for these inputs.
   const int32_t bits = (static_cast<int32_t>(z) + 127) << 23;
   float pow2z;
   std::memcpy(&pow2z, &bits, sizeof(pow2z));
   return p * pow2z;
 }
 
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
 
 // Lane-wise mirror of FastExp — same operation sequence, same constants.
 inline __m256 FastExp8(__m256 x) {
@@ -163,7 +164,7 @@ inline float Sum8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-#endif  // KGLINK_SOFTMAX_AVX2
+#endif  // KGLINK_TENSOR_AVX2
 
 // out[i][j] = softmax(scale * x[i])[j]. Folding the scale costs nothing
 // and matches the composed Scale-then-Softmax pipeline bit-for-bit: both
@@ -175,7 +176,7 @@ void RowSoftmaxScaled(const float* x, float* out, int rows, int cols,
     float* yr = out + static_cast<size_t>(i) * cols;
     float mx = -std::numeric_limits<float>::infinity();
     int j = 0;
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
     const __m256 vscale = _mm256_set1_ps(scale);
     __m256 vmax = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
     for (; j + 8 <= cols; j += 8) {
@@ -192,7 +193,7 @@ void RowSoftmaxScaled(const float* x, float* out, int rows, int cols,
     }
     float sum = 0.0f;
     j = 0;
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
     const __m256 vmx = _mm256_set1_ps(mx);
     __m256 vsum = _mm256_setzero_ps();
     for (; j + 8 <= cols; j += 8) {
@@ -209,7 +210,7 @@ void RowSoftmaxScaled(const float* x, float* out, int rows, int cols,
     }
     const float inv = 1.0f / sum;
     j = 0;
-#ifdef KGLINK_SOFTMAX_AVX2
+#ifdef KGLINK_TENSOR_AVX2
     const __m256 vinv = _mm256_set1_ps(inv);
     for (; j + 8 <= cols; j += 8) {
       _mm256_storeu_ps(yr + j, _mm256_mul_ps(_mm256_loadu_ps(yr + j), vinv));
@@ -217,6 +218,87 @@ void RowSoftmaxScaled(const float* x, float* out, int rows, int cols,
 #endif
     for (; j < cols; ++j) yr[j] *= inv;
   }
+}
+
+// ----- GELU on the same polynomial exp -----
+//
+// gelu(x) = 0.5·x·(1 + tanh u) with u = sqrt(2/pi)·(x + 0.044715·x³). The
+// exact identity 0.5·(1 + tanh u) = 1/(1 + e^(-2u)) turns the tanh into one
+// FastExp and a divide: gelu(x) = x·s with s = GeluSig(x), and
+// gelu'(x) = s + x·s·(1 - s)·2·du/dx. The exp argument is clamped at
+// kGeluHi so 2^z stays a finite float for very negative x (s then sits at
+// ~e^-80 instead of underflowing); FastExp's own low clamp makes s round to
+// exactly 1 for large positive x, and an x³ that overflows to ±inf lands
+// on one of the two clamps. Against a double-precision reference on
+// [-30, 30] the error is below 1.5e-7·max(1, |x|), 4e-7·max(1, |x|) for the
+// gradient (tests/tensor_test.cc asserts 1e-6 and 2e-6). As with softmax,
+// the scalar and AVX2 forms run the identical op sequence, so a value gets
+// the same bits in a vector lane and in the scalar tail.
+
+constexpr float kGelu2C = 1.5957691216057308f;  // 2·sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+constexpr float kGelu3A = 0.134145f;  // 3·kGeluA
+constexpr float kGeluHi = 80.0f;
+
+inline float GeluSig(float x) {
+  float t = -kGelu2C * (x + kGeluA * (x * x) * x);
+  t = t < kGeluHi ? t : kGeluHi;  // operand order of _mm256_min_ps
+  return 1.0f / (1.0f + FastExp(t));
+}
+
+inline float GeluGrad(float x, float s) {
+  return s + x * s * (1.0f - s) * (kGelu2C * (1.0f + kGelu3A * (x * x)));
+}
+
+#ifdef KGLINK_TENSOR_AVX2
+
+// Lane-wise mirrors of GeluSig and GeluGrad — same operation sequence.
+inline __m256 GeluSig8(__m256 x) {
+  __m256 c = _mm256_mul_ps(
+      _mm256_mul_ps(_mm256_set1_ps(kGeluA), _mm256_mul_ps(x, x)), x);
+  __m256 t = _mm256_mul_ps(_mm256_set1_ps(-kGelu2C), _mm256_add_ps(x, c));
+  t = _mm256_min_ps(t, _mm256_set1_ps(kGeluHi));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  return _mm256_div_ps(one, _mm256_add_ps(one, FastExp8(t)));
+}
+
+inline __m256 GeluGrad8(__m256 x, __m256 s) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  __m256 du = _mm256_mul_ps(
+      _mm256_set1_ps(kGelu2C),
+      _mm256_add_ps(one, _mm256_mul_ps(_mm256_set1_ps(kGelu3A),
+                                       _mm256_mul_ps(x, x))));
+  __m256 r = _mm256_mul_ps(_mm256_mul_ps(x, s), _mm256_sub_ps(one, s));
+  return _mm256_add_ps(s, _mm256_mul_ps(r, du));
+}
+
+#endif  // KGLINK_TENSOR_AVX2
+
+// y[i] = gelu(x[i]).
+void GeluForward(const float* x, float* y, size_t n) {
+  size_t i = 0;
+#ifdef KGLINK_TENSOR_AVX2
+  for (; i + 8 <= n; i += 8) {
+    __m256 v = _mm256_loadu_ps(x + i);
+    _mm256_storeu_ps(y + i, _mm256_mul_ps(v, GeluSig8(v)));
+  }
+#endif
+  for (; i < n; ++i) y[i] = x[i] * GeluSig(x[i]);
+}
+
+// dx[i] += dy[i] * gelu'(x[i]).
+void GeluBackward(const float* x, const float* dy, float* dx, size_t n) {
+  size_t i = 0;
+#ifdef KGLINK_TENSOR_AVX2
+  for (; i + 8 <= n; i += 8) {
+    __m256 v = _mm256_loadu_ps(x + i);
+    __m256 d = GeluGrad8(v, GeluSig8(v));
+    _mm256_storeu_ps(dx + i,
+                     _mm256_add_ps(_mm256_loadu_ps(dx + i),
+                                   _mm256_mul_ps(_mm256_loadu_ps(dy + i), d)));
+  }
+#endif
+  for (; i < n; ++i) dx[i] += dy[i] * GeluGrad(x[i], GeluSig(x[i]));
 }
 
 }  // namespace
@@ -522,21 +604,19 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Gelu(const Tensor& a) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
-  return UnaryOp(
-      a,
-      [](float x) {
-        float inner = kC * (x + kA * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
-      },
-      [](float x, float) {
-        float inner = kC * (x + kA * x * x * x);
-        float t = std::tanh(inner);
-        float sech2 = 1.0f - t * t;
-        return 0.5f * (1.0f + t) +
-               0.5f * x * sech2 * kC * (1.0f + 3.0f * kA * x * x);
-      });
+  std::vector<float> data(a.data().size());
+  GeluForward(a.data().data(), data.data(), data.size());
+  auto out = NewOutput(a.shape(), std::move(data), {a});
+  if (out->requires_grad) {
+    auto ai = a.impl();
+    TensorImpl* o = out.get();
+    out->backward = [ai, o] {
+      ai->EnsureGrad();
+      GeluBackward(ai->data.data(), o->grad.data(), ai->grad.data(),
+                   ai->data.size());
+    };
+  }
+  return Tensor(std::move(out));
 }
 
 Tensor Softmax(const Tensor& a) {

@@ -118,7 +118,10 @@ Tensor Transpose(const Tensor& a);
 // ----- nonlinearities -----
 Tensor Exp(const Tensor& a);
 Tensor Relu(const Tensor& a);
-Tensor Gelu(const Tensor& a);   // tanh approximation
+// GELU, tanh form 0.5·x·(1 + tanh(sqrt(2/pi)·(x + 0.044715·x³))), computed
+// as x·sigmoid(2u) on the polynomial exp: within 1e-6·max(1, |x|) of the
+// exact tanh form, finite for every finite input.
+Tensor Gelu(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 

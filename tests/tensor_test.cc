@@ -3,8 +3,11 @@
 // op (the backbone guarantee behind every training result in the repo).
 #include "nn/tensor.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <numbers>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +117,109 @@ TEST(TensorTest, LogSoftmaxMatchesLogOfSoftmax) {
   Tensor sm = Softmax(x);
   for (size_t i = 0; i < ls.data().size(); ++i) {
     EXPECT_NEAR(ls.data()[i], std::log(sm.data()[i]), 1e-5f);
+  }
+}
+
+// RowSoftmaxScaled runs 8-wide AVX2 lanes and then a scalar tail with the
+// same op sequence: an input at a lane index (3) and one at a tail index
+// (16) of a width-17 row must come out bit-equal.
+TEST(TensorTest, SoftmaxLaneAndTailAgreeBitwise) {
+  Rng rng(3);
+  for (float probe : {-4.0f, -0.37f, 0.0f, 1.25f, 6.5f}) {
+    Tensor x = Tensor::Randn({1, 17}, 2.0f, rng);
+    x.data()[3] = probe;
+    x.data()[16] = probe;
+    Tensor y = Softmax(x);
+    EXPECT_EQ(std::bit_cast<uint32_t>(y.data()[3]),
+              std::bit_cast<uint32_t>(y.data()[16]))
+        << "probe " << probe;
+  }
+}
+
+// Double-precision tanh-form GELU and its derivative: the reference nn::Gelu
+// is held to.
+double GeluReference(double x) {
+  const double c = std::sqrt(2.0 / std::numbers::pi);
+  return 0.5 * x * (1.0 + std::tanh(c * (x + 0.044715 * x * x * x)));
+}
+
+double GeluGradReference(double x) {
+  const double c = std::sqrt(2.0 / std::numbers::pi);
+  const double t = std::tanh(c * (x + 0.044715 * x * x * x));
+  return 0.5 * (1.0 + t) +
+         0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * 0.044715 * x * x);
+}
+
+// Dense grid on [-30, 30]: forward within 1e-6·max(1, |x|) of the tanh
+// form, gradient within 2e-6·max(1, |x|).
+TEST(TensorTest, GeluMatchesTanhReference) {
+  constexpr int kSteps = 60000;
+  std::vector<float> xs(kSteps + 1);
+  for (int i = 0; i <= kSteps; ++i) {
+    xs[i] = -30.0f + 60.0f * static_cast<float>(i) / kSteps;
+  }
+  Tensor x = Tensor::FromData({1, kSteps + 1}, xs, /*requires_grad=*/true);
+  Tensor y = Gelu(x);
+  Sum(y).Backward();
+  double worst = 0.0, worst_grad = 0.0;
+  for (int i = 0; i <= kSteps; ++i) {
+    const double xi = xs[i];
+    const double scale = std::max(1.0, std::abs(xi));
+    worst = std::max(worst, std::abs(y.data()[i] - GeluReference(xi)) / scale);
+    worst_grad = std::max(
+        worst_grad, std::abs(x.grad()[i] - GeluGradReference(xi)) / scale);
+  }
+  EXPECT_LE(worst, 1e-6);
+  EXPECT_LE(worst_grad, 2e-6);
+}
+
+// Saturating inputs stay finite: gelu(x) -> x for large positive x and
+// -> 0 for large negative x, including |x| where x³ overflows float. The
+// six values appear twice in a width-12 row, so each reaches an AVX2 lane
+// and the last four also the scalar tail.
+TEST(TensorTest, GeluSaturatesFinite) {
+  std::vector<float> xs;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (float b : {1e4f, 1e13f, 1e20f}) {
+      xs.push_back(b);
+      xs.push_back(-b);
+    }
+  }
+  Tensor x = Tensor::FromData({1, static_cast<int>(xs.size())}, xs,
+                              /*requires_grad=*/true);
+  Tensor y = Gelu(x);
+  Sum(y).Backward();
+  for (size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(y.data()[i])) << "x " << xs[i];
+    if (xs[i] > 0) {
+      EXPECT_EQ(y.data()[i], xs[i]);
+    } else {
+      EXPECT_LE(std::abs(y.data()[i]), 1e-12f) << "x " << xs[i];
+    }
+  }
+  // The gradient saturates to 1 and 0 as well.
+  EXPECT_EQ(x.grad()[0], 1.0f);
+  EXPECT_LE(std::abs(x.grad()[1]), 1e-12f);
+}
+
+// Gelu runs 8-wide AVX2 lanes and then a scalar tail with the same op
+// sequence: an input at a lane index (2) and one at a tail index (10) of a
+// width-13 row get bit-equal values and gradients.
+TEST(TensorTest, GeluLaneAndTailAgreeBitwise) {
+  Rng rng(4);
+  for (int k = 0; k <= 400; ++k) {
+    const float probe = -12.0f + 0.06f * static_cast<float>(k) + 0.001f;
+    Tensor x = RandLeaf({1, 13}, rng, 3.0f);
+    x.data()[2] = probe;
+    x.data()[10] = probe;
+    Tensor y = Gelu(x);
+    Sum(y).Backward();
+    EXPECT_EQ(std::bit_cast<uint32_t>(y.data()[2]),
+              std::bit_cast<uint32_t>(y.data()[10]))
+        << "probe " << probe;
+    EXPECT_EQ(std::bit_cast<uint32_t>(x.grad()[2]),
+              std::bit_cast<uint32_t>(x.grad()[10]))
+        << "probe " << probe;
   }
 }
 
