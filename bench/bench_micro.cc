@@ -119,6 +119,8 @@ void BM_EncoderForward(benchmark::State& state) {
   std::vector<int> tokens(static_cast<size_t>(state.range(0)));
   Rng rng(2);
   for (auto& t : tokens) t = static_cast<int>(rng.Uniform(6000));
+  // The forward predict runs: no tape (BM_EncoderTrainStep times the tape).
+  nn::NoGradScope no_grad;
   auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.Forward(tokens, rng, false));

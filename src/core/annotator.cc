@@ -187,6 +187,8 @@ void KgLinkAnnotator::BuildVocabulary(
 Status KgLinkAnnotator::EvalForward(
     const PreparedTable& prepared, std::vector<int>* predictions,
     std::vector<std::vector<float>>* logits_out) {
+  // Nothing here runs backward: every op below returns a plain value.
+  nn::NoGradScope no_grad;
   if (predictions != nullptr) {
     predictions->assign(prepared.processed.columns.size(), 0);
   }
@@ -341,8 +343,14 @@ double KgLinkAnnotator::ForwardTable(
       // ----- column-type representation generation (DMLM) -----
       const SerializedTable& gt_chunk = gt_chunks[chunk_i];
       // Teacher encoding without dropout: a stable distillation target.
-      nn::Tensor gt_hidden = model_->Encode(
-          gt_chunk.tokens, gt_chunk.segments, *rng_, /*training=*/false);
+      // DmlmLoss detaches the teacher, so its encode and projection record
+      // no tape.
+      nn::Tensor gt_hidden;
+      {
+        nn::NoGradScope no_grad;
+        gt_hidden = model_->Encode(gt_chunk.tokens, gt_chunk.segments, *rng_,
+                                   /*training=*/false);
+      }
       std::vector<int> msk_pos;
       std::vector<int> gt_pos;
       for (size_t j = 0; j < chunk.columns.size(); ++j) {
@@ -370,8 +378,11 @@ double KgLinkAnnotator::ForwardTable(
       } else {
         nn::Tensor msk_logits =
             model_->ProjectToVocab(nn::Rows(hidden, msk_pos));
-        nn::Tensor gt_logits =
-            model_->ProjectToVocab(nn::Rows(gt_hidden, gt_pos));
+        nn::Tensor gt_logits;
+        {
+          nn::NoGradScope no_grad;
+          gt_logits = model_->ProjectToVocab(nn::Rows(gt_hidden, gt_pos));
+        }
         nn::Tensor dmlm =
             nn::DmlmLoss(msk_logits, gt_logits, options_.dmlm_temperature);
         total = model_->uncertainty_loss().Combine(dmlm, ce);

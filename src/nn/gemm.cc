@@ -205,11 +205,14 @@ inline void Micro1x8(const float* a, const float* panel, float* c, int i,
 
 // Per-thread packing scratch. The serving path runs one GEMM per worker
 // thread concurrently; thread_local keeps the buffers race-free without
-// locking, and capacity is retained across calls.
+// locking, and capacity is retained across calls. Only the AVX2 kernels
+// pack B panels.
+#ifdef KGLINK_GEMM_AVX2
 std::vector<float>& PanelScratch() {
   thread_local std::vector<float> buf;
   return buf;
 }
+#endif  // KGLINK_GEMM_AVX2
 std::vector<float>& TransposeScratch() {
   thread_local std::vector<float> buf;
   return buf;

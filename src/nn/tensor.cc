@@ -22,6 +22,9 @@ namespace {
 
 std::atomic<uint64_t> g_seq{0};
 
+// Live NoGradScopes on this thread; ops record a tape only at depth 0.
+thread_local int t_no_grad_depth = 0;
+
 std::shared_ptr<TensorImpl> NewImpl(std::vector<int> shape,
                                     std::vector<float> data) {
   auto impl = std::make_shared<TensorImpl>();
@@ -32,11 +35,13 @@ std::shared_ptr<TensorImpl> NewImpl(std::vector<int> shape,
   return impl;
 }
 
-// Creates the output node of an op; requires_grad if any parent does.
+// Creates the output node of an op; requires_grad if any parent does and
+// no NoGradScope is alive on this thread.
 std::shared_ptr<TensorImpl> NewOutput(
     std::vector<int> shape, std::vector<float> data,
     std::initializer_list<Tensor> parents) {
   auto impl = NewImpl(std::move(shape), std::move(data));
+  if (t_no_grad_depth > 0) return impl;
   for (const Tensor& p : parents) {
     if (p.requires_grad()) impl->requires_grad = true;
   }
@@ -301,7 +306,78 @@ void GeluBackward(const float* x, const float* dy, float* dx, size_t n) {
   for (; i < n; ++i) dx[i] += dy[i] * GeluGrad(x[i], GeluSig(x[i]));
 }
 
+// ----- LayerNorm row kernels -----
+//
+// Lane l of an 8-lane accumulator sums elements l, l+8, l+16, ... of a row,
+// and Fold8 adds the lanes in a fixed tree order. The AVX2 main loop and
+// the scalar tail add into the same lanes (a non-AVX2 build runs the whole
+// row through the tail), so the sums carry the same bits in every build;
+// the eight independent chains also hide the add latency a serial sum
+// waits on. The statistics take two sweeps — the mean, then the squared
+// deviations from it — which avoids the cancellation of E[x²] − E[x]²;
+// an encoder row is a few hundred bytes, so both sweeps read L1.
+
+inline float Fold8(const float* a) {
+  return ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]));
+}
+
+// Mean and 1/sqrt(var + eps) of the n floats at x.
+void RowMoments(const float* x, int n, float eps, float* mean_out,
+                float* inv_std_out) {
+  float acc[8] = {};
+  int j = 0;
+#ifdef KGLINK_TENSOR_AVX2
+  __m256 vs = _mm256_setzero_ps();
+  for (; j + 8 <= n; j += 8) vs = _mm256_add_ps(vs, _mm256_loadu_ps(x + j));
+  _mm256_storeu_ps(acc, vs);
+#endif
+  for (; j < n; ++j) acc[j & 7] += x[j];
+  const float mean = Fold8(acc) / n;
+
+  std::fill_n(acc, 8, 0.0f);
+  j = 0;
+#ifdef KGLINK_TENSOR_AVX2
+  const __m256 vmean = _mm256_set1_ps(mean);
+  vs = _mm256_setzero_ps();
+  for (; j + 8 <= n; j += 8) {
+    __m256 d = _mm256_sub_ps(_mm256_loadu_ps(x + j), vmean);
+    vs = _mm256_add_ps(vs, _mm256_mul_ps(d, d));
+  }
+  _mm256_storeu_ps(acc, vs);
+#endif
+  for (; j < n; ++j) {
+    float d = x[j] - mean;
+    acc[j & 7] += d * d;
+  }
+  *mean_out = mean;
+  *inv_std_out = 1.0f / std::sqrt(Fold8(acc) / n + eps);
+}
+
+// y[j] = gamma[j]·((x[j] − mean)·inv_std) + beta[j].
+void RowNormalize(const float* x, const float* gamma, const float* beta,
+                  int n, float mean, float inv_std, float* y) {
+  int j = 0;
+#ifdef KGLINK_TENSOR_AVX2
+  const __m256 vmean = _mm256_set1_ps(mean);
+  const __m256 vis = _mm256_set1_ps(inv_std);
+  for (; j + 8 <= n; j += 8) {
+    __m256 xh =
+        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + j), vmean), vis);
+    __m256 g = _mm256_loadu_ps(gamma + j);
+    _mm256_storeu_ps(y + j, _mm256_add_ps(_mm256_mul_ps(g, xh),
+                                          _mm256_loadu_ps(beta + j)));
+  }
+#endif
+  for (; j < n; ++j) y[j] = gamma[j] * ((x[j] - mean) * inv_std) + beta[j];
+}
+
 }  // namespace
+
+// ----- NoGradScope -----
+
+NoGradScope::NoGradScope() { ++t_no_grad_depth; }
+NoGradScope::~NoGradScope() { --t_no_grad_depth; }
+bool NoGradScope::Active() { return t_no_grad_depth > 0; }
 
 // ----- Tensor -----
 
@@ -672,38 +748,38 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   auto [m, n] = RowsCols(x);
   KGLINK_CHECK_EQ(static_cast<int64_t>(n), gamma.numel());
   KGLINK_CHECK_EQ(static_cast<int64_t>(n), beta.numel());
-  std::vector<float> data(x.data().size());
-  std::vector<float> xhat(x.data().size());
-  std::vector<float> inv_std(m);
+  auto out = NewOutput(x.shape(), std::vector<float>(x.data().size()),
+                       {x, gamma, beta});
+  // Backward recomputes xhat from the row's (mean, inv_std), so that pair
+  // is all it keeps, and only when it will run.
+  std::shared_ptr<std::vector<float>> stats;
+  if (out->requires_grad) {
+    stats = std::make_shared<std::vector<float>>(2 * static_cast<size_t>(m));
+  }
   for (int i = 0; i < m; ++i) {
     const float* xr = x.data().data() + static_cast<size_t>(i) * n;
-    float mean = 0.0f;
-    for (int j = 0; j < n; ++j) mean += xr[j];
-    mean /= n;
-    float var = 0.0f;
-    for (int j = 0; j < n; ++j) var += (xr[j] - mean) * (xr[j] - mean);
-    var /= n;
-    float is = 1.0f / std::sqrt(var + eps);
-    inv_std[i] = is;
-    float* xh = xhat.data() + static_cast<size_t>(i) * n;
-    float* yr = data.data() + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      xh[j] = (xr[j] - mean) * is;
-      yr[j] = gamma.data()[j] * xh[j] + beta.data()[j];
+    float mean = 0.0f, is = 0.0f;
+    RowMoments(xr, n, eps, &mean, &is);
+    RowNormalize(xr, gamma.data().data(), beta.data().data(), n, mean, is,
+                 out->data.data() + static_cast<size_t>(i) * n);
+    if (stats) {
+      (*stats)[2 * static_cast<size_t>(i)] = mean;
+      (*stats)[2 * static_cast<size_t>(i) + 1] = is;
     }
   }
-  auto out = NewOutput(x.shape(), std::move(data), {x, gamma, beta});
   if (out->requires_grad) {
     auto xi = x.impl();
     auto gi = gamma.impl();
     auto bi = beta.impl();
     TensorImpl* o = out.get();
-    auto xh = std::make_shared<std::vector<float>>(std::move(xhat));
-    auto is = std::make_shared<std::vector<float>>(std::move(inv_std));
-    out->backward = [xi, gi, bi, o, xh, is, m, n] {
+    out->backward = [xi, gi, bi, o, stats, m, n] {
+      std::vector<float> xhr(n);
       for (int i = 0; i < m; ++i) {
         const float* dy = o->grad.data() + static_cast<size_t>(i) * n;
-        const float* xhr = xh->data() + static_cast<size_t>(i) * n;
+        const float* xr = xi->data.data() + static_cast<size_t>(i) * n;
+        const float mean = (*stats)[2 * static_cast<size_t>(i)];
+        const float is = (*stats)[2 * static_cast<size_t>(i) + 1];
+        for (int j = 0; j < n; ++j) xhr[j] = (xr[j] - mean) * is;
         if (gi->requires_grad) {
           gi->EnsureGrad();
           for (int j = 0; j < n; ++j) gi->grad[j] += dy[j] * xhr[j];
@@ -726,8 +802,7 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
           mean_dxhat_xhat /= n;
           for (int j = 0; j < n; ++j) {
             float dxh = dy[j] * gi->data[j];
-            dx[j] += (*is)[i] *
-                     (dxh - mean_dxhat - xhr[j] * mean_dxhat_xhat);
+            dx[j] += is * (dxh - mean_dxhat - xhr[j] * mean_dxhat_xhat);
           }
         }
       }
@@ -740,14 +815,17 @@ Tensor Dropout(const Tensor& x, float p, Rng& rng, bool training) {
   if (!training || p <= 0.0f) return x;
   KGLINK_CHECK_LT(p, 1.0f);
   float keep_scale = 1.0f / (1.0f - p);
-  auto mask = std::make_shared<std::vector<float>>(x.data().size());
-  std::vector<float> data(x.data().size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    float m = rng.Bernoulli(p) ? 0.0f : keep_scale;
-    (*mask)[i] = m;
-    data[i] = x.data()[i] * m;
+  auto out = NewOutput(x.shape(), std::vector<float>(x.data().size()), {x});
+  // The mask is read only by backward.
+  std::shared_ptr<std::vector<float>> mask;
+  if (out->requires_grad) {
+    mask = std::make_shared<std::vector<float>>(x.data().size());
   }
-  auto out = NewOutput(x.shape(), std::move(data), {x});
+  for (size_t i = 0; i < out->data.size(); ++i) {
+    float m = rng.Bernoulli(p) ? 0.0f : keep_scale;
+    if (mask) (*mask)[i] = m;
+    out->data[i] = x.data()[i] * m;
+  }
   if (out->requires_grad) {
     auto xi = x.impl();
     TensorImpl* o = out.get();
@@ -859,6 +937,7 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     total += p.cols();
     needs_grad = needs_grad || p.requires_grad();
   }
+  needs_grad = needs_grad && !NoGradScope::Active();
   std::vector<float> data(static_cast<size_t>(m) * total);
   int off = 0;
   for (const auto& p : parts) {
@@ -911,6 +990,7 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
     total += p.rows();
     needs_grad = needs_grad || p.requires_grad();
   }
+  needs_grad = needs_grad && !NoGradScope::Active();
   std::vector<float> data;
   data.reserve(static_cast<size_t>(total) * n);
   for (const auto& p : parts) {
@@ -1042,6 +1122,19 @@ void PackHeadT(const float* src, int base, int l, int dim, int c0, int hd,
   }
 }
 
+// Per-thread forward work buffers. The serving path runs one encoder per
+// worker thread concurrently; thread_local keeps them race-free without
+// locking, and their capacity is retained across calls. `probs` holds one
+// (block, head) probability slab when no tape keeps them all.
+struct AttentionScratch {
+  std::vector<float> qh, kht, vh, scores, head, probs;
+};
+
+AttentionScratch& AttnScratch() {
+  thread_local AttentionScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 Tensor MaskedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
@@ -1065,17 +1158,29 @@ Tensor MaskedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   }
   probs_total *= static_cast<size_t>(num_heads);
 
-  // The attention probabilities are the only forward intermediate the
-  // backward pass cannot cheaply recompute; one flat buffer holds every
-  // (block, head) slab in iteration order. The packed q/k/v head blocks
-  // are re-gathered from the parents' data on the backward pass instead.
-  auto probs_store = std::make_shared<std::vector<float>>(probs_total);
-
   // Padded rows stay zero: a padded query row depends on nothing, and the
   // packing below never reads a padded key/value row — the softmax runs
   // over exactly the valid prefix, which is the mask.
-  std::vector<float> out_data(static_cast<size_t>(total_rows) * dim, 0.0f);
-  std::vector<float> qh, kht, vh, scores, head;
+  auto out = NewOutput({total_rows, dim},
+                       std::vector<float>(static_cast<size_t>(total_rows) * dim,
+                                          0.0f),
+                       {q, k, v});
+  // The attention probabilities are the only forward intermediate the
+  // backward pass cannot cheaply recompute; with a tape, one flat buffer
+  // holds every (block, head) slab in iteration order. The packed q/k/v
+  // head blocks are re-gathered from the parents' data on the backward
+  // pass instead. Without a tape each slab is dead once its PV product is
+  // done, so the scratch slab is reused head after head.
+  std::shared_ptr<std::vector<float>> probs_store;
+  if (out->requires_grad) {
+    probs_store = std::make_shared<std::vector<float>>(probs_total);
+  }
+  AttentionScratch& scratch = AttnScratch();
+  std::vector<float>& qh = scratch.qh;
+  std::vector<float>& kht = scratch.kht;
+  std::vector<float>& vh = scratch.vh;
+  std::vector<float>& scores = scratch.scores;
+  std::vector<float>& head = scratch.head;
   size_t probs_off = 0;
   for (int b = 0; b < batch; ++b) {
     const int len = seq_lens[b];
@@ -1091,7 +1196,13 @@ Tensor MaskedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
       PackHead(v.data().data(), base, len, dim, c0, hd, vh.data());
       scores.assign(l2, 0.0f);
       gemm::GemmAcc(qh.data(), kht.data(), scores.data(), len, hd, len);
-      float* probs = probs_store->data() + probs_off;
+      float* probs;
+      if (probs_store) {
+        probs = probs_store->data() + probs_off;
+      } else {
+        scratch.probs.resize(l2);
+        probs = scratch.probs.data();
+      }
       // Scale folds into the softmax kernel (same single multiply per
       // element the composed Scale op performs), one exp per score.
       RowSoftmaxScaled(scores.data(), probs, len, len, scale);
@@ -1099,14 +1210,13 @@ Tensor MaskedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
       gemm::GemmAcc(probs, vh.data(), head.data(), len, len, hd);
       for (int i = 0; i < len; ++i) {
         std::copy_n(head.data() + static_cast<size_t>(i) * hd, hd,
-                    out_data.data() +
+                    out->data.data() +
                         static_cast<size_t>(base + i) * dim + c0);
       }
       probs_off += l2;
     }
   }
 
-  auto out = NewOutput({total_rows, dim}, std::move(out_data), {q, k, v});
   if (out->requires_grad) {
     auto qi = q.impl();
     auto ki = k.impl();

@@ -7,8 +7,12 @@
 //    functions that record a backward closure on the output node; calling
 //    Backward() on a scalar runs the tape in reverse topological order.
 //  - Gradients are accumulated (+=) so a node used twice gets the sum.
-//  - Ops skip closure creation entirely when no input requires gradients,
-//    which makes inference tape-free.
+//  - An op records a closure and parent links only when some input
+//    requires gradients. Model parameters always do, so an eval forward is
+//    tape-free only inside a NoGradScope (below): there every op output is
+//    a plain value with no parents, and ops skip the buffers only backward
+//    reads (LayerNorm's row statistics, attention probabilities, dropout
+//    masks).
 #ifndef KGLINK_NN_TENSOR_H_
 #define KGLINK_NN_TENSOR_H_
 
@@ -43,6 +47,22 @@ struct TensorImpl {
   void EnsureGrad() {
     if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
   }
+};
+
+// RAII guard that turns off graph recording on the calling thread. While
+// any scope is alive on a thread, every op output there has requires_grad
+// false and no parents, whatever its inputs; scopes nest, and other threads
+// keep recording. Forward values are bit-identical with and without a
+// scope: only the backward bookkeeping is skipped.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+  // True while a scope is alive on the calling thread.
+  static bool Active();
 };
 
 // Value-semantics handle to a tensor node.
@@ -131,7 +151,9 @@ Tensor Softmax(const Tensor& a);
 Tensor LogSoftmax(const Tensor& a);
 
 // Row-wise layer normalization followed by per-column affine (gamma, beta
-// are length-cols vectors).
+// are length-cols vectors). The row mean and variance are 8-lane partial
+// sums folded in a fixed order, so a row's result does not depend on
+// whether the build has AVX2.
 Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                  float eps = 1e-5f);
 

@@ -2,18 +2,23 @@
 // full transformer, a batch of sequences through the one encode path
 // (isolation, truncation, an optimizer step, concurrent inference on a
 // shared encoder — this test is on the check.sh --tsan list), the fused
-// attention op's padded planes and edge cases, and checkpoint round-trips.
+// attention op's padded planes and edge cases, NoGradScope forwards against
+// taped ones (values and the DMLM teacher's effect on gradients), and
+// checkpoint round-trips.
 #include "nn/layers.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "nn/checkpoint.h"
+#include "nn/loss.h"
 #include "nn/optim.h"
 #include "nn/tensor.h"
 #include "obs/metrics.h"
@@ -515,6 +520,90 @@ TEST(MaskedAttentionTest, SingleValidRowAttendsOnlyToItself) {
     EXPECT_EQ(o.data()[static_cast<size_t>(c)],
               v.data()[static_cast<size_t>(c)])
         << "col " << c;
+  }
+}
+
+// ----- NoGradScope through the encoder -----
+
+// dim 20 is not a multiple of 8, so every LayerNorm row ends in a scalar
+// tail; head width 5 does the same to attention.
+EncoderConfig OddWidthConfig() {
+  EncoderConfig c;
+  c.vocab_size = 50;
+  c.max_seq_len = 192;
+  c.dim = 20;
+  c.num_heads = 4;
+  c.num_layers = 2;
+  c.ffn_dim = 36;
+  c.dropout = 0.1f;
+  return c;
+}
+
+bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// A scoped forward returns exactly the taped forward's values. The lengths
+// run up to the encoder capacity and back down, so the per-thread attention
+// scratch both grows and shrinks between calls. Training forwards draw the
+// same dropout masks scoped or not.
+TEST(NoGradEncoderTest, ScopedForwardIsBitwiseEqualToTaped) {
+  Rng init(5);
+  TransformerEncoder enc(OddWidthConfig(), init);
+  for (int len : {1, 7, 14, 72, 192, 14}) {
+    for (bool training : {false, true}) {
+      const std::vector<int> tokens = TokenSeq(len, len);
+      Rng taped_rng(9);
+      Tensor taped = enc.Forward(tokens, taped_rng, training);
+      ASSERT_TRUE(taped.requires_grad());
+      Rng scoped_rng(9);
+      Tensor scoped;
+      {
+        NoGradScope no_grad;
+        scoped = enc.Forward(tokens, scoped_rng, training);
+      }
+      EXPECT_FALSE(scoped.requires_grad());
+      EXPECT_TRUE(scoped.impl()->parents.empty());
+      EXPECT_TRUE(BitwiseEqual(taped.data(), scoped.data()))
+          << "len " << len << " training " << training;
+    }
+  }
+}
+
+// The DMLM step as KgLinkAnnotator runs it: a taped student encode of the
+// masked sequence, a teacher encode of the ground-truth one, both projected
+// to the vocabulary, and DmlmLoss detaching the teacher. Running the
+// teacher under a scope leaves every parameter gradient bit-identical.
+TEST(NoGradEncoderTest, ScopedTeacherLeavesDmlmGradientsBitIdentical) {
+  auto gradients = [](bool scoped_teacher) {
+    Rng init(7);
+    TransformerEncoder enc(OddWidthConfig(), init);
+    Linear proj(20, 50, init, "proj");
+    std::vector<NamedParam> params = enc.Parameters();
+    proj.CollectParams(&params);
+    Rng rng(3);
+    Tensor student = enc.Forward(TokenSeq(12), rng, /*training=*/true);
+    Tensor teacher_logits;
+    {
+      std::optional<NoGradScope> no_grad;
+      if (scoped_teacher) no_grad.emplace();
+      Tensor teacher = enc.Forward(TokenSeq(12, 1), rng, /*training=*/false);
+      teacher_logits = proj.Forward(Rows(teacher, {2, 5, 9}));
+    }
+    EXPECT_EQ(teacher_logits.requires_grad(), !scoped_teacher);
+    Tensor loss = DmlmLoss(proj.Forward(Rows(student, {2, 5, 9})),
+                           teacher_logits, 2.0f);
+    loss.Backward();
+    std::vector<std::vector<float>> out;
+    for (NamedParam& p : params) out.push_back(p.tensor.grad());
+    return out;
+  };
+  const auto taped = gradients(false);
+  const auto scoped = gradients(true);
+  ASSERT_EQ(taped.size(), scoped.size());
+  for (size_t i = 0; i < taped.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(taped[i], scoped[i])) << "parameter " << i;
   }
 }
 

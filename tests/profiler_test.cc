@@ -1,8 +1,9 @@
 // Sampling profiler + heap attribution tests: exporter formats from
 // synthetic samples, live sampling against threads holding known frame
 // stacks, start/stop lifecycle, and (when compiled in) deterministic heap
-// call-site accounting. The concurrent push/pop-vs-sampler case doubles
-// as the TSan target for the profiler's lock-free stack protocol.
+// call-site accounting and the allocations an untaped encoder forward
+// saves. The concurrent push/pop-vs-sampler case doubles as the TSan
+// target for the profiler's lock-free stack protocol.
 #include "obs/profiler.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iostream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,8 +20,11 @@
 #include <type_traits>
 #include <vector>
 
+#include "nn/layers.h"
+#include "nn/tensor.h"
 #include "obs/heap_profiler.h"
 #include "obs/json_util.h"
+#include "util/rng.h"
 
 namespace kglink::obs {
 namespace {
@@ -338,6 +344,56 @@ TEST(HeapProfilerTest, DeterministicCountsWithExactSampling) {
   EXPECT_TRUE(found) << "allocation site not attributed";
   EXPECT_NE(hp.CollapsedAllocBytes().find("heap_test_site"),
             std::string::npos);
+}
+
+// An eval forward inside a NoGradScope allocates no tape: no closures,
+// parent links, LayerNorm statistics or attention probability slabs. With
+// exact accounting, a scoped 64-token forward of the product-default
+// encoder makes strictly fewer allocations and bytes than a taped one.
+TEST(HeapProfilerTest, ScopedEncoderForwardAllocatesLess) {
+  nn::EncoderConfig config;
+  config.vocab_size = 6000;
+  config.max_seq_len = 192;
+  Rng init(1);
+  nn::TransformerEncoder encoder(config, init);
+  std::vector<int> tokens(64);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<int>((i * 37) % 6000);
+  }
+  auto forward = [&](bool scoped) {
+    Rng rng(2);
+    std::optional<nn::NoGradScope> no_grad;
+    if (scoped) no_grad.emplace();
+    return encoder.Forward(tokens, rng, /*training=*/false);
+  };
+  // Warm both paths first so per-thread scratch capacity is not charged
+  // to the measured forward.
+  forward(false);
+  forward(true);
+
+  HeapProfiler& hp = HeapProfiler::Global();
+  HeapProfilerOptions opts;
+  opts.sample_every = 1;
+  auto measure = [&](bool scoped) {
+    hp.Enable(opts);
+    hp.FlushCurrentThread();
+    hp.ResetForTest();
+    {
+      nn::Tensor out = forward(scoped);
+    }
+    hp.FlushCurrentThread();
+    hp.Disable();
+    return hp.totals();
+  };
+  const HeapTotals taped = measure(false);
+  const HeapTotals scoped = measure(true);
+  std::cout << "64-token encoder forward: taped " << taped.alloc_count
+            << " allocations / " << taped.alloc_bytes << " bytes, scoped "
+            << scoped.alloc_count << " allocations / " << scoped.alloc_bytes
+            << " bytes\n";
+  EXPECT_GT(scoped.alloc_count, 0u);
+  EXPECT_LT(scoped.alloc_count, taped.alloc_count);
+  EXPECT_LT(scoped.alloc_bytes, taped.alloc_bytes);
 }
 
 #else

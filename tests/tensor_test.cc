@@ -1,6 +1,7 @@
 // Tensor-library tests: forward-op correctness against hand-computed
 // values, and finite-difference gradient checks for every differentiable
-// op (the backbone guarantee behind every training result in the repo).
+// op (the backbone guarantee behind every training result in the repo),
+// and NoGradScope's no-tape contract.
 #include "nn/tensor.h"
 
 #include <bit>
@@ -8,6 +9,8 @@
 #include <cstdint>
 #include <functional>
 #include <numbers>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -221,6 +224,225 @@ TEST(TensorTest, GeluLaneAndTailAgreeBitwise) {
               std::bit_cast<uint32_t>(x.grad()[10]))
         << "probe " << probe;
   }
+}
+
+// Double-precision LayerNorm of one row (eps 1e-5) and its gradient for
+// the loss sum_j w[j]·y[j]: the reference nn::LayerNorm is held to.
+struct LayerNormRef {
+  std::vector<double> y, dx, dgamma, dbeta;
+};
+
+LayerNormRef LayerNormReference(const float* x, const float* gamma,
+                                const float* beta, const float* w, int n) {
+  double mean = 0.0;
+  for (int j = 0; j < n; ++j) mean += x[j];
+  mean /= n;
+  double var = 0.0;
+  for (int j = 0; j < n; ++j) var += (x[j] - mean) * (x[j] - mean);
+  var /= n;
+  const double is = 1.0 / std::sqrt(var + 1e-5);
+  LayerNormRef r;
+  std::vector<double> xhat(n), dxh(n);
+  double mean_dxh = 0.0, mean_dxh_xhat = 0.0;
+  for (int j = 0; j < n; ++j) {
+    xhat[j] = (x[j] - mean) * is;
+    r.y.push_back(gamma[j] * xhat[j] + beta[j]);
+    r.dgamma.push_back(w[j] * xhat[j]);
+    r.dbeta.push_back(w[j]);
+    dxh[j] = static_cast<double>(w[j]) * gamma[j];
+    mean_dxh += dxh[j] / n;
+    mean_dxh_xhat += dxh[j] * xhat[j] / n;
+  }
+  for (int j = 0; j < n; ++j) {
+    r.dx.push_back(is * (dxh[j] - mean_dxh - xhat[j] * mean_dxh_xhat));
+  }
+  return r;
+}
+
+// Forward and all three gradients within 1e-6·max(1, |reference|) of the
+// double-precision form, on widths that are below, at and above one 8-lane
+// block, with and without a tail. Rows carry an offset so the mean matters.
+TEST(TensorTest, LayerNormMatchesDoubleReference) {
+  Rng rng(31);
+  for (int n : {1, 7, 8, 13, 48, 64}) {
+    constexpr int kRows = 4;
+    Tensor x = RandLeaf({kRows, n}, rng, 2.0f);
+    for (int i = 0; i < kRows; ++i) {
+      for (int j = 0; j < n; ++j) x.data()[i * n + j] += 3.0f * (i - 1.5f);
+    }
+    Tensor gamma = RandLeaf({1, n}, rng);
+    Tensor beta = RandLeaf({1, n}, rng);
+    Tensor w = Tensor::Randn({kRows, n}, 1.0f, rng);
+    Tensor y = LayerNorm(x, gamma, beta);
+    Sum(Mul(y, w)).Backward();
+
+    double worst = 0.0, worst_dx = 0.0, worst_dparam = 0.0;
+    auto rel = [](double got, double want) {
+      return std::abs(got - want) / std::max(1.0, std::abs(want));
+    };
+    std::vector<double> dgamma(n, 0.0), dbeta(n, 0.0);
+    for (int i = 0; i < kRows; ++i) {
+      LayerNormRef r = LayerNormReference(
+          x.data().data() + i * n, gamma.data().data(), beta.data().data(),
+          w.data().data() + i * n, n);
+      for (int j = 0; j < n; ++j) {
+        worst = std::max(worst, rel(y.data()[i * n + j], r.y[j]));
+        worst_dx = std::max(worst_dx, rel(x.grad()[i * n + j], r.dx[j]));
+        dgamma[j] += r.dgamma[j];
+        dbeta[j] += r.dbeta[j];
+      }
+    }
+    for (int j = 0; j < n; ++j) {
+      worst_dparam = std::max(worst_dparam, rel(gamma.grad()[j], dgamma[j]));
+      worst_dparam = std::max(worst_dparam, rel(beta.grad()[j], dbeta[j]));
+    }
+    EXPECT_LE(worst, 1e-6) << "width " << n;
+    EXPECT_LE(worst_dx, 1e-6) << "width " << n;
+    EXPECT_LE(worst_dparam, 1e-6) << "width " << n;
+  }
+}
+
+// LayerNorm normalizes 8-wide AVX2 lanes and then a scalar tail with the
+// same op sequence: equal inputs (and equal gamma, beta) at a lane index
+// (2) and a tail index (10) of a width-13 row get bit-equal values and
+// gradients.
+TEST(TensorTest, LayerNormLaneAndTailAgreeBitwise) {
+  Rng rng(5);
+  for (int k = 0; k <= 200; ++k) {
+    const float probe = -6.0f + 0.06f * static_cast<float>(k) + 0.001f;
+    Tensor x = RandLeaf({2, 13}, rng, 2.0f);
+    Tensor gamma = RandLeaf({1, 13}, rng);
+    Tensor beta = RandLeaf({1, 13}, rng);
+    for (int i = 0; i < 2; ++i) {
+      x.data()[i * 13 + 2] = probe;
+      x.data()[i * 13 + 10] = probe;
+    }
+    gamma.data()[10] = gamma.data()[2];
+    beta.data()[10] = beta.data()[2];
+    Tensor y = LayerNorm(x, gamma, beta);
+    Sum(y).Backward();
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(y.data()[i * 13 + 2]),
+                std::bit_cast<uint32_t>(y.data()[i * 13 + 10]))
+          << "probe " << probe;
+      EXPECT_EQ(std::bit_cast<uint32_t>(x.grad()[i * 13 + 2]),
+                std::bit_cast<uint32_t>(x.grad()[i * 13 + 10]))
+          << "probe " << probe;
+    }
+  }
+}
+
+// The row statistics are fixed 8-lane partial sums folded in one tree
+// order, whatever the build: a float replay of that order gives the same
+// bits as the op, so AVX2 and non-AVX2 builds agree.
+TEST(TensorTest, LayerNormFollowsTheLaneOrder) {
+  auto lane_sum = [](const std::vector<float>& v) {
+    float a[8] = {};
+    for (size_t j = 0; j < v.size(); ++j) a[j % 8] += v[j];
+    return ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]));
+  };
+  Rng rng(6);
+  for (int n : {1, 7, 8, 13, 48, 64}) {
+    Tensor x = Tensor::Randn({1, n}, 3.0f, rng);
+    Tensor gamma = Tensor::Randn({1, n}, 1.0f, rng);
+    Tensor beta = Tensor::Randn({1, n}, 1.0f, rng);
+    const std::vector<float>& xs = x.data();
+    const float mean = lane_sum(xs) / n;
+    std::vector<float> sq(n);
+    for (int j = 0; j < n; ++j) sq[j] = (xs[j] - mean) * (xs[j] - mean);
+    const float is = 1.0f / std::sqrt(lane_sum(sq) / n + 1e-5f);
+    Tensor y = LayerNorm(x, gamma, beta);
+    for (int j = 0; j < n; ++j) {
+      // The op's TU is built -ffp-contract=off; the volatile keeps this
+      // multiply-add from fusing into an FMA here too.
+      volatile float scaled = gamma.data()[j] * ((xs[j] - mean) * is);
+      const float want = scaled + beta.data()[j];
+      EXPECT_EQ(std::bit_cast<uint32_t>(y.data()[j]),
+                std::bit_cast<uint32_t>(want))
+          << "width " << n << " index " << j;
+    }
+  }
+}
+
+// ----- NoGradScope -----
+
+// Ops on requires_grad leaves, with and without a scope: unscoped they
+// record the tape, scoped they return plain values.
+std::vector<Tensor> OpsOnParameters(Rng& rng) {
+  Tensor w = RandLeaf({4, 4}, rng);
+  Tensor gamma = RandLeaf({1, 4}, rng);
+  Tensor beta = RandLeaf({1, 4}, rng);
+  return {MatMul(w, w),
+          Add(w, beta),
+          Gelu(w),
+          Softmax(w),
+          LayerNorm(w, gamma, beta),
+          Dropout(w, 0.5f, rng, /*training=*/true),
+          EmbeddingLookup(w, {3, 0}),
+          Rows(w, {1}),
+          ConcatCols({w, w}),
+          ConcatRows({w, beta}),
+          MeanRows(w),
+          MaskedAttention(w, w, w, 2, 0.5f, {4}, 4),
+          CrossEntropy(w, {0, 1, 2, 3})};
+}
+
+TEST(NoGradScopeTest, ScopedOpsRecordNoTape) {
+  Rng rng(41);
+  for (const Tensor& t : OpsOnParameters(rng)) {
+    EXPECT_TRUE(t.requires_grad());
+    EXPECT_FALSE(t.impl()->parents.empty());
+    EXPECT_TRUE(static_cast<bool>(t.impl()->backward));
+  }
+  NoGradScope no_grad;
+  int i = 0;
+  for (const Tensor& t : OpsOnParameters(rng)) {
+    EXPECT_FALSE(t.requires_grad()) << "op " << i;
+    EXPECT_TRUE(t.impl()->parents.empty()) << "op " << i;
+    EXPECT_FALSE(static_cast<bool>(t.impl()->backward)) << "op " << i;
+    ++i;
+  }
+}
+
+TEST(NoGradScopeTest, NestedScopesRestoreTheOuterState) {
+  Tensor w = Tensor::Full({2, 2}, 1.5f, /*requires_grad=*/true);
+  EXPECT_FALSE(NoGradScope::Active());
+  {
+    NoGradScope outer;
+    {
+      NoGradScope inner;
+      EXPECT_TRUE(NoGradScope::Active());
+      EXPECT_FALSE(Scale(w, 2.0f).requires_grad());
+    }
+    // Leaving the inner scope keeps the outer one in force.
+    EXPECT_TRUE(NoGradScope::Active());
+    EXPECT_FALSE(Scale(w, 2.0f).requires_grad());
+  }
+  EXPECT_FALSE(NoGradScope::Active());
+  Tensor y = Scale(w, 2.0f);
+  ASSERT_TRUE(y.requires_grad());
+  Sum(y).Backward();
+  EXPECT_EQ(w.grad()[0], 2.0f);
+}
+
+TEST(NoGradScopeTest, OtherThreadsKeepRecording) {
+  Tensor w = Tensor::Full({2, 2}, 0.5f, /*requires_grad=*/true);
+  NoGradScope no_grad;
+  bool other_active = true;
+  bool other_recorded = false;
+  std::thread other([&] {
+    other_active = NoGradScope::Active();
+    Tensor y = MatMul(w, w);
+    other_recorded = y.requires_grad() && !y.impl()->parents.empty();
+    if (other_recorded) Sum(y).Backward();
+  });
+  other.join();
+  EXPECT_FALSE(other_active);
+  EXPECT_TRUE(other_recorded);
+  // d/dw sum(w·w) with all entries 0.5: each entry gets 2·(2·0.5) = 2.
+  EXPECT_EQ(w.grad()[0], 2.0f);
+  EXPECT_TRUE(NoGradScope::Active());
+  EXPECT_FALSE(MatMul(w, w).requires_grad());
 }
 
 TEST(TensorTest, TransposeRoundTrip) {
