@@ -117,6 +117,16 @@ std::string SanitizeMetricName(const std::string& name) {
 }
 
 void WriteBenchTelemetryAtExit() {
+  // No default directory: a run from the repo root would otherwise
+  // overwrite a committed BENCH_<name>.json baseline.
+  const char* out_dir = std::getenv("KGLINK_BENCH_OUT");
+  if (out_dir == nullptr || out_dir[0] == '\0') {
+    std::fprintf(stderr,
+                 "bench telemetry: KGLINK_BENCH_OUT unset, BENCH_%s.json "
+                 "not written\n",
+                 BenchName().c_str());
+    return;
+  }
   const std::string git = KGLINK_GIT_DESCRIBE;
   // A "-dirty" describe means the binary was built from uncommitted
   // sources: such numbers are unreproducible and must never become
@@ -139,11 +149,8 @@ void WriteBenchTelemetryAtExit() {
     json += "}";
   }
   json += "]}";
-  const char* out_dir = std::getenv("KGLINK_BENCH_OUT");
-  std::string path = out_dir != nullptr && out_dir[0] != '\0'
-                         ? std::string(out_dir) + "/"
-                         : std::string();
-  path += "BENCH_" + BenchName() + ".json";
+  std::string path =
+      std::string(out_dir) + "/BENCH_" + BenchName() + ".json";
   Status s = WriteFile(path, json);
   if (!s.ok()) {
     KGLINK_LOG(kWarn, "bench.telemetry_export_failed")

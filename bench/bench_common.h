@@ -54,9 +54,11 @@ void InitObservabilityFromEnv();
 
 // Machine-readable bench telemetry: registers an exit hook that writes
 // every metric recorded during the run to BENCH_<bench_name>.json in
-// $KGLINK_BENCH_OUT (default: cwd), tagged with the build's git-describe
-// and the bench scale, so scripts/bench_compare.py can diff two runs.
-// Idempotent; the first name wins.
+// $KGLINK_BENCH_OUT, tagged with the build's git-describe and the bench
+// scale, so scripts/bench_compare.py can diff two runs. With the variable
+// unset nothing is written (one stderr line says so), so a run from the
+// repo root cannot overwrite a committed baseline. Idempotent; the first
+// name wins.
 void InitBenchTelemetry(const std::string& bench_name);
 
 // Appends one metric to the telemetry buffer. `unit` names what `value`

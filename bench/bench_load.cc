@@ -4,27 +4,25 @@
 //   1. Closed-loop capacity probe (no faults, static admission): N workers
 //      submit-and-wait, measuring the sustainable no-fault peak goodput.
 //   2. Open-loop overload run at `--rate-multiplier` × that peak (default
-//      2×) with injected faults (default "search.topk:0.1,predict:0.01"),
-//      the max_queue bound (overflow shed inline or refused) and the
-//      process retry budget on — the production overload posture. Bursty
-//      zipfian arrivals.
+//      2×) with injected faults (default "search.topk:0.1,predict:0.01")
+//      and the max_queue bound (overflow shed inline or refused) — the
+//      production overload posture. Bursty zipfian arrivals.
 //   3. Gates: goodput under overload ≥ --goodput-floor × peak (0 disables),
 //      and the queue stays bounded (max observed depth ≤ max_queue).
 //   4. Optional --check-determinism: the single-threaded-submission batch
 //      mode twice under the same fault seed (queue large enough that
-//      nothing is shed, breakers off) must produce byte-identical result
-//      checksums.
+//      nothing is shed) must produce byte-identical result checksums.
 //
 // Emits BENCH_load.json. The machine-portable gate metric is
 // load.goodput_vs_peak (ratio — overload goodput relative to the same
 // machine's no-fault peak); absolute rates/latencies are tracked
 // informationally. Goodput counts every worker-answered request (ok +
-// degraded): under faults the retry budget and breakers convert fault-hit
-// tables to the cheap PLM-only fallback, so the ratio legitimately lands
-// *above* 1.0 on a healthy run — degraded answers cost less than full
-// ones. load.ok_share and load.degraded_share show that composition. The
-// floor is what matters: a refuse storm, retry storm or unbounded queue
-// drags answered throughput below it.
+// degraded): a fault trip degrades its table to the cheap PLM-only
+// fallback at once (faults are never retried), so the ratio legitimately
+// lands *above* 1.0 on a healthy run — degraded answers cost less than
+// full ones. load.ok_share and load.degraded_share show that composition.
+// The floor is what matters: a refuse storm or unbounded queue drags
+// answered throughput below it.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,7 +33,6 @@
 #include "bench/bench_common.h"
 #include "obs/statsz.h"
 #include "robust/fault_injector.h"
-#include "robust/retry_budget.h"
 #include "serve/annotation_service.h"
 #include "serve/loadgen.h"
 
@@ -178,9 +175,9 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Goodput under overload (load/chaos harness)",
       "Closed-loop capacity probe, then an open-loop overload run at a "
-      "multiple of the measured peak with injected faults, the queue "
-      "bound and the retry budget engaged. The gate is goodput retention "
-      "relative to the same machine's peak.");
+      "multiple of the measured peak with injected faults and the queue "
+      "bound engaged. The gate is goodput retention relative to the same "
+      "machine's peak.");
 
   // The same deliberately small model as bench_serve: this harness
   // measures the overload machinery, not model quality.
@@ -241,8 +238,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Phase 2: overload at a multiple of peak, faults + full overload
-  // posture on.
+  // Phase 2: overload at a multiple of peak, faults + queue bound on.
   double offered = flags.rate > 0.0 ? flags.rate
                                     : flags.rate_multiplier * peak_goodput;
   Status fault_status = robust::FaultInjector::Global().ConfigureFromSpec(
@@ -258,7 +254,6 @@ int main(int argc, char** argv) {
     serve::ServiceOptions so;
     so.num_threads = flags.threads;
     so.max_queue = flags.max_queue;
-    so.retry_budget_per_second = 25.0;
     serve::AnnotationService service(&annotator, so);
     serve::LoadgenOptions over = lg;
     over.rate_per_second = offered;
@@ -325,9 +320,6 @@ int main(int argc, char** argv) {
           submitted,
       "share");
   bench::RecordBenchMetric(
-      "load.retry_budget_denied",
-      static_cast<double>(robust::RetryBudget::Global().denied()), "count");
-  bench::RecordBenchMetric(
       "load.latency_truncations",
       static_cast<double>(
           robust::FaultInjector::Global().latency_truncations()),
@@ -348,7 +340,7 @@ int main(int argc, char** argv) {
   }
 
   // Phase 3 (optional): per-seed determinism of the chaos batch mode.
-  // Single-threaded submission, a queue nothing overflows, breakers off;
+  // Single-threaded submission and a queue nothing overflows;
   // per-request fault streams make the 4-thread worker pool immaterial.
   if (flags.check_determinism) {
     serve::LoadgenOptions batch = lg;
@@ -367,7 +359,6 @@ int main(int argc, char** argv) {
       serve::ServiceOptions so;
       so.num_threads = flags.threads;
       so.max_queue = 4096;
-      so.enable_circuit_breakers = false;
       serve::AnnotationService service(&annotator, so);
       serve::BatchResult r = serve::RunBatch(service, tables, 128, batch);
       checksums[round] = r.checksum;
@@ -389,7 +380,7 @@ int main(int argc, char** argv) {
   if (failed) return 1;
   std::printf(
       "\nNo paper counterpart: KGLink reports offline accuracy only. This "
-      "harness gates the overload posture (max_queue bound, retry budget) "
-      "added on top.\n");
+      "harness gates the overload posture (max_queue bound, fault "
+      "degradation) added on top.\n");
   return 0;
 }

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <map>
+#include <memory>
 
 #include "bench_common.h"
 #include "core/annotator.h"
@@ -164,11 +165,15 @@ void BM_CorpusGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_CorpusGeneration);
 
-// Console reporter that additionally records every run into the bench
+// Display reporter that additionally records every run into the bench
 // telemetry buffer, so bench_micro drops a BENCH_micro.json like the
-// table/figure benches.
-class TelemetryReporter : public benchmark::ConsoleReporter {
+// table/figure benches. Display goes to the library's default reporter, so
+// --benchmark_format and --benchmark_color keep working.
+class TelemetryReporter : public benchmark::BenchmarkReporter {
  public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const Run& run : reports) {
       if (run.error_occurred) continue;
@@ -177,8 +182,13 @@ class TelemetryReporter : public benchmark::ConsoleReporter {
                                benchmark::GetTimeUnitString(run.time_unit),
                                run.iterations);
     }
-    ConsoleReporter::ReportRuns(reports);
+    display_->ReportRuns(reports);
   }
+  void Finalize() override { display_->Finalize(); }
+
+ private:
+  std::unique_ptr<benchmark::BenchmarkReporter> display_{
+      benchmark::CreateDefaultDisplayReporter()};
 };
 
 }  // namespace

@@ -3,8 +3,8 @@
 // request stream. Emits BENCH_serve.json (per-thread-count throughput,
 // p50/p99/p999 latency, and per-stage time shares from the request
 // telemetry) so scripts/bench_compare.py can track regressions in the
-// serving harness — queueing, admission and the per-request
-// deadline/breaker checks — separately from model quality. The sliding
+// serving harness — queueing, admission and the per-request deadline
+// checks — separately from model quality. The sliding
 // window/SLO sections of HealthJson are printed per thread count, so a
 // bench run doubles as a smoke test that they move (they are windowed,
 // not cumulative). Every row also reports the cell-link cache hit rate
@@ -59,7 +59,7 @@ int main() {
       "stays in the same decade — queueing, not contention, dominates.");
 
   // A deliberately small model: the bench measures the serving harness
-  // (queueing, deadline checks, breaker gates), not model quality.
+  // (queueing, deadline checks), not model quality.
   core::KgLinkOptions o;
   o.epochs = 2;
   o.encoder.dim = 24;
@@ -186,6 +186,6 @@ int main() {
   std::printf(
       "\nNo paper counterpart: KGLink reports offline accuracy only. This "
       "bench tracks the serving harness added on top (bounded queue, "
-      "deadlines, circuit breakers) across builds.\n");
+      "deadlines) across builds.\n");
   return 0;
 }

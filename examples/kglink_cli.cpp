@@ -86,8 +86,6 @@ struct Args {
   int64_t deadline_ms = 0;  // --deadline-ms N: per-request deadline
   int max_queue = 64;     // --max-queue N: admission-control bound
   int cell_cache = 4096;  // --cell-cache N: cell-link cache entries (0=off)
-  // Overload control (served eval / load eval).
-  double retry_budget = 0.0;  // --retry-budget N: retry tokens/s (0=off)
   // Load-eval (eval with --load-rate > 0): open-loop arrivals against the
   // service instead of one submission per test table.
   double load_rate = 0.0;          // --load-rate R: offered arrivals/s
@@ -119,11 +117,6 @@ int Usage() {
       "  --slo-ms N       served-latency SLO target; HealthJson/--statsz\n"
       "                   report sliding-window compliance and burn rate\n"
       "                   against it (default 100)\n"
-      "\n"
-      "overload control (served eval / load eval):\n"
-      "  --retry-budget N process-wide retry token budget (tokens/s, burst\n"
-      "                   2N; 0 = off). An exhausted budget degrades the\n"
-      "                   operation instead of retrying\n"
       "\n"
       "load eval (eval --load-rate R, requires --threads/--model):\n"
       "  --load-rate R         open-loop offered arrivals/s over the test\n"
@@ -252,14 +245,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!v) return false;
       args->cell_cache = std::atoi(v);
       if (args->cell_cache < 0) return false;
-    } else if (a == "--retry-budget") {
-      const char* v = next();
-      if (!v) return false;
-      args->retry_budget = std::atof(v);
-      if (args->retry_budget < 0) return false;
-    } else if (a.rfind("--retry-budget=", 0) == 0) {
-      args->retry_budget = std::atof(a.c_str() + std::strlen("--retry-budget="));
-      if (args->retry_budget < 0) return false;
     } else if (a == "--load-rate") {
       const char* v = next();
       if (!v) return false;
@@ -583,16 +568,15 @@ int Train(const Args& args) {
 // submitted as concurrent requests with the CLI's deadline, and columns
 // from degraded/shed responses still count toward accuracy (they carry the
 // PLM-only predictions). Prints the per-status breakdown next to accuracy.
-// ServiceOptions shared by the served-eval and load-eval paths, including
-// the overload-control posture. ValidatedServiceOptions (applied by the
-// service constructor) clamps anything nonsensical with a logged warning.
+// ServiceOptions shared by the served-eval and load-eval paths.
+// ValidatedServiceOptions (applied by the service constructor) clamps
+// anything nonsensical with a logged warning.
 serve::ServiceOptions ServiceOptionsFromArgs(const Args& args) {
   serve::ServiceOptions sopts;
   sopts.num_threads = args.threads;
   sopts.max_queue = args.max_queue;
   sopts.default_deadline_us = args.deadline_ms * 1000;
   if (args.slo_ms > 0) sopts.slo_target_us = args.slo_ms * 1000;
-  sopts.retry_budget_per_second = args.retry_budget;
   return sopts;
 }
 
@@ -731,7 +715,7 @@ int Eval(const Args& args) {
   if (args.load_rate > 0) {
     return LoadEval(args, src, annotator, *test);
   }
-  if (args.threads > 1 || args.deadline_ms > 0 || args.retry_budget > 0) {
+  if (args.threads > 1 || args.deadline_ms > 0) {
     return ServedEval(args, src, annotator, *test);
   }
   eval::Metrics m = annotator.Evaluate(*test);

@@ -117,13 +117,9 @@ AnnotateOutcome KgLinkAnnotator::AnnotateTable(const table::Table& t,
   // Gate the PLM inference pass itself ("predict" fault site). A deadline
   // or cancellation here swaps in the degraded table — the forward pass
   // still runs (it is the cheap, bounded PLM-only fallback) so the caller
-  // always gets full-width predictions; only a hard post-retry failure of
-  // the pass is an error.
-  robust::TableOpContext ctx(
-      pipeline_.config().retry, pipeline_.config().fault_budget,
-      robust::FaultInjector::Global().seed() ^
-          (rc != nullptr ? rc->stream_key : 0),
-      rc);
+  // always gets full-width predictions; only a fault trip of the pass
+  // itself is an error.
+  robust::TableOpContext ctx(rc);
   if (!ctx.Attempt(robust::FaultSite::kPredict)) {
     const char* reason = ctx.degrade_reason();
     bool expiry = std::strcmp(reason, "deadline") == 0 ||

@@ -108,10 +108,11 @@ CellLinks EntityLinker::LinkCell(const table::Cell& cell,
     return links;
   }
   // Retrieval can fail in a real deployment (the paper's Elasticsearch
-  // lookup). A hard failure after retries degrades to an unlinkable cell —
-  // the same state a cell with no KG match is already in. This gate stays
-  // ahead of the cache lookup so the injected-fault draw sequence is
-  // independent of cache hits (per-seed chaos determinism).
+  // lookup). A trip degrades the context, so this cell comes back
+  // unlinkable and KgPipeline::Process replaces the whole table with the
+  // PLM-only fallback. This gate stays ahead of the cache lookup so the
+  // injected-fault draw sequence is independent of cache hits (per-seed
+  // chaos determinism).
   if (ctx != nullptr &&
       !ctx->Attempt(robust::FaultSite::kSearchTopK)) {
     return links;
@@ -186,8 +187,8 @@ RowLinks EntityLinker::LinkRow(const table::Table& table, int row,
     for (const EntityCandidate& cand :
          out.cells[static_cast<size_t>(c2)].retrieved) {
       // "kg.neighbors" is a soft fault site: a trip drops one candidate's
-      // neighbour evidence (it just loses overlap support) without
-      // retries. Draws run column by column, candidate by candidate.
+      // neighbour evidence (it just loses overlap support) and never
+      // degrades. Draws run column by column, candidate by candidate.
       if (ctx != nullptr &&
           ctx->SoftFault(robust::FaultSite::kKgNeighbors)) {
         continue;

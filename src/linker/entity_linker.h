@@ -9,7 +9,7 @@
 
 #include "kg/knowledge_graph.h"
 #include "linker/types.h"
-#include "robust/retry.h"
+#include "robust/fault_injector.h"
 #include "search/cell_link_cache.h"
 #include "search/search_engine.h"
 #include "table/table.h"
@@ -26,10 +26,11 @@ class EntityLinker {
 
   // Step 1: retrieve E_m for one cell. NUMBER/DATE/empty cells come back
   // non-linkable with score 0. With a context, the retrieval is gated by
-  // the "search.topk" fault site (retried per the context's policy); a
-  // hard failure yields an empty, non-linkable cell. The fault gate runs
-  // *before* the cache lookup, so injected-fault draw sequences (and with
-  // them per-seed chaos determinism) never depend on cache state.
+  // the "search.topk" fault site; a trip degrades the context (the caller
+  // then drops the whole table to the PLM-only path) and yields an empty,
+  // non-linkable cell. The fault gate runs *before* the cache lookup, so
+  // injected-fault draw sequences (and with them per-seed chaos
+  // determinism) never depend on cache state.
   CellLinks LinkCell(const table::Cell& cell,
                      robust::TableOpContext* ctx = nullptr) const;
 

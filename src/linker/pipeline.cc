@@ -97,18 +97,7 @@ ProcessedTable KgPipeline::Process(const table::Table& table,
     return ProcessDegraded(table, rc->ExpiryReason());
   }
 
-  // Per-table failure budget. Jitter seed varies per table so retry
-  // backoffs do not synchronize, but stays deterministic per process run.
-  // Serving-path requests key the jitter stream on their stable stream_key
-  // instead of the submission-order counter, for the same determinism the
-  // fault stream gets.
-  robust::TableOpContext ctx(
-      config.retry, config.fault_budget,
-      robust::FaultInjector::Global().seed() ^
-          (rc != nullptr
-               ? rc->stream_key
-               : ctx_counter_.fetch_add(1, std::memory_order_relaxed)),
-      rc);
+  robust::TableOpContext ctx(rc);
 
   // Steps 1-2: link & prune every row; collect row scores.
   std::vector<RowLinks> all_rows;

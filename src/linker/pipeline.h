@@ -4,8 +4,6 @@
 #ifndef KGLINK_LINKER_PIPELINE_H_
 #define KGLINK_LINKER_PIPELINE_H_
 
-#include <atomic>
-
 #include "linker/entity_linker.h"
 #include "linker/types.h"
 #include "search/search_engine.h"
@@ -19,14 +17,15 @@ class KgPipeline {
   KgPipeline(const kg::KnowledgeGraph* kg,
              const search::SearchEngine* engine, LinkerConfig config);
 
-  // Runs Part 1. Under an exhausted per-table fault budget (see
-  // LinkerConfig::fault_budget) the result is a *degraded* ProcessedTable
-  // (degraded == true): first-k rows, no KG candidate types or feature
-  // sequences — the PLM-only fallback — instead of a crash or an error.
+  // Runs Part 1. When an injected fault trips at a table-level site
+  // ("search.topk") the result is a *degraded* ProcessedTable
+  // (degraded == true, degrade_reason the site name): first-k rows, no KG
+  // candidate types or feature sequences — the PLM-only fallback — instead
+  // of a crash or an error.
   //
   // Thread safety: Process is const and safe to call concurrently (the
   // pipeline reads a finalized SearchEngine and an immutable KG; each call
-  // owns its failure-budget context).
+  // owns its fault context).
   ProcessedTable Process(const table::Table& table) const;
 
   // Serving-path overload: `rc` (borrowed, may be null) carries the
@@ -62,9 +61,6 @@ class KgPipeline {
 
   const kg::KnowledgeGraph* kg_;
   EntityLinker linker_;
-  // Per-table jitter-seed discriminator (Process is const and may be
-  // called concurrently in the future).
-  mutable std::atomic<uint64_t> ctx_counter_{0};
 };
 
 }  // namespace kglink::linker

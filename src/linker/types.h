@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "kg/knowledge_graph.h"
-#include "robust/retry.h"
 #include "table/table.h"
 
 namespace kglink::linker {
@@ -35,13 +34,6 @@ struct LinkerConfig {
   // heavily, so this turns most retrievals into a hash lookup. Surfaced as
   // kglink_cli --cell-cache N; observable as search.cache.* metrics.
   int cell_cache_capacity = 4096;
-
-  // Failure handling (active only when fault injection is enabled, or a
-  // deadline is set): retry policy for fallible per-cell operations and the
-  // per-table budget that decides when to fall back to a degraded,
-  // PLM-only ProcessedTable instead of failing the whole pipeline.
-  robust::RetryPolicy retry;
-  robust::TableBudget fault_budget;
 };
 
 // One retrieved KG entity for a cell mention.

@@ -5,7 +5,7 @@
 #include <fstream>
 #include <unordered_map>
 
-#include "robust/retry.h"
+#include "robust/fault_injector.h"
 #include "util/crc32.h"
 #include "util/csv.h"
 
@@ -86,10 +86,10 @@ Status SaveTensors(const std::string& path,
 }
 
 Status LoadTensors(const std::string& path, std::vector<NamedParam>* params) {
-  KGLINK_ASSIGN_OR_RETURN(
-      std::string blob,
-      robust::WithRetry(robust::FaultSite::kIoRead, robust::RetryPolicy{},
-                        [&] { return ReadFile(path); }));
+  if (robust::MaybeInject(robust::FaultSite::kIoRead)) {
+    return Status::IoError("injected fault at io.read: " + path);
+  }
+  KGLINK_ASSIGN_OR_RETURN(std::string blob, ReadFile(path));
   if (blob.size() < 3 * sizeof(uint32_t) + kCrcBytes) {
     return Status::Corruption("checkpoint too small: " + path);
   }

@@ -7,7 +7,7 @@
 // in production — a disarmed recorder costs one relaxed atomic load per
 // completion.
 //
-// Process-wide singleton following the FaultInjector/BreakerRegistry idiom:
+// Process-wide singleton following the FaultInjector idiom:
 // Configure() arms it (tests and the CLI own configuration; the service
 // only consults it), Disable() disarms but keeps the captured records so
 // they can still be dumped after the service shuts down.

@@ -43,10 +43,7 @@ std::string RequestTelemetry::Json() const {
            "_us\": " + std::to_string(exclusive_stage_us(stage));
   }
   out += "}, \"stage_total_us\": " + std::to_string(TotalStageUs());
-  out += ", \"retries\": " + std::to_string(retries);
   out += ", \"degrade_events\": " + std::to_string(degrade_events);
-  out += ", \"breaker_short_circuits\": " +
-         std::to_string(breaker_short_circuits);
   out += ", \"cache_hits\": " + std::to_string(cache_hits);
   out += ", \"cache_misses\": " + std::to_string(cache_misses);
   out += "}";

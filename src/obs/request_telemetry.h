@@ -4,7 +4,7 @@
 // the service adds queue wait and the post-process remainder, the linker
 // adds link/cell-cache time and cache hit counts, the search engine adds
 // TopK time, the annotator adds the encoder forward pass, and the robust
-// layer counts retries / degrades / breaker short-circuits.
+// layer counts degrades.
 //
 // Cost model: a request is handled by exactly one worker thread at a time,
 // so the record needs no atomics — stage accounting is plain uint64 adds
@@ -50,10 +50,8 @@ const char* StageName(Stage stage);
 struct RequestTelemetry {
   uint64_t stage_us[kNumTelemetryStages] = {};
   uint64_t stage_calls[kNumTelemetryStages] = {};
-  uint64_t retries = 0;                 // backoff sleeps taken
-  uint64_t degrade_events = 0;          // TableOpContext::Degrade flips
-  uint64_t breaker_short_circuits = 0;  // open-breaker fail-fasts
-  uint64_t cache_hits = 0;              // cell-link cache
+  uint64_t degrade_events = 0;  // TableOpContext::Degrade flips
+  uint64_t cache_hits = 0;      // cell-link cache
   uint64_t cache_misses = 0;
 
   void AddStage(Stage stage, uint64_t us) {
@@ -76,8 +74,7 @@ struct RequestTelemetry {
   uint64_t TotalStageUs() const;
 
   // {"stages": {"queue_wait_us": …, "link_us": …, ...}, "stage_total_us": …,
-  //  "retries": …, "degrade_events": …, "breaker_short_circuits": …,
-  //  "cache_hits": …, "cache_misses": …}
+  //  "degrade_events": …, "cache_hits": …, "cache_misses": …}
   // Stage values are the exclusive times.
   std::string Json() const;
 };
@@ -126,8 +123,8 @@ class ScopedStageTimer {
 #define KGLINK_STAGE_TIMER(rc, stage)                                  \
   ::kglink::obs::ScopedStageTimer KGLINK_TELEMETRY_CONCAT_(            \
       kglink_stage_, __LINE__)((rc), (stage))
-// Bumps an event counter field (retries, cache_hits, ...) if telemetry is
-// attached; `rc` may be null.
+// Bumps an event counter field (degrade_events, cache_hits, ...) if
+// telemetry is attached; `rc` may be null.
 #define KGLINK_TELEMETRY_COUNT(rc, field, delta)                       \
   do {                                                                 \
     if ((rc) != nullptr && (rc)->telemetry != nullptr) {               \

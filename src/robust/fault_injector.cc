@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/request_telemetry.h"
 #include "util/string_util.h"
 
 namespace kglink::robust {
@@ -65,6 +66,15 @@ struct EnvInit {
   }
 } env_init;
 
+// Decorrelates consecutive stream keys into well-separated RNG seeds
+// (splitmix64 finalizer).
+uint64_t MixStreamKey(uint64_t key) {
+  uint64_t z = key + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 }  // namespace
 
 std::atomic<bool> FaultInjector::enabled_{false};
@@ -102,7 +112,6 @@ void FaultInjector::Configure(const std::map<FaultSite, FaultRule>& rules,
     s.trips = 0;
     if (s.rule.probability > 0.0) any_active = true;
   }
-  jitter_rng_ = Rng(seed ^ 0xc2b2ae3d27d4eb4fULL);
   enabled_.store(any_active, std::memory_order_relaxed);
 }
 
@@ -208,11 +217,6 @@ FaultRule FaultInjector::RuleFor(FaultSite site) const {
   return sites_[static_cast<size_t>(site)].rule;
 }
 
-double FaultInjector::JitterUniform() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return jitter_rng_.UniformDouble();
-}
-
 uint64_t FaultInjector::seed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return seed_;
@@ -221,6 +225,51 @@ uint64_t FaultInjector::seed() const {
 int64_t FaultInjector::trip_count(FaultSite site) const {
   std::lock_guard<std::mutex> lock(mu_);
   return sites_[static_cast<size_t>(site)].trips;
+}
+
+TableOpContext::TableOpContext(const RequestContext* request)
+    : request_(request) {
+  if (request_ != nullptr) {
+    fault_rng_ = Rng(FaultInjector::Global().seed() ^
+                     MixStreamKey(request_->stream_key));
+  }
+}
+
+void TableOpContext::Degrade(const char* reason) {
+  degraded_ = true;
+  degrade_reason_ = reason;
+  KGLINK_TELEMETRY_COUNT(request_, degrade_events, 1);
+}
+
+bool TableOpContext::RollFault(FaultSite site) {
+  if (request_ != nullptr) {
+    return FaultInjector::Global().ShouldFailWithRng(site, fault_rng_,
+                                                     request_);
+  }
+  return FaultInjector::Global().ShouldFail(site);
+}
+
+bool TableOpContext::SoftFault(FaultSite site) {
+  if (!FaultInjector::Enabled()) return false;
+  return RollFault(site);
+}
+
+bool TableOpContext::CheckDeadline() {
+  if (degraded_) return true;
+  if (request_ == nullptr || request_->Unbounded()) return false;
+  if (request_->cancel.Cancelled()) {
+    Degrade("cancelled");
+  } else if (request_->deadline.IsExpired()) {
+    Degrade("deadline");
+  }
+  return degraded_;
+}
+
+bool TableOpContext::Attempt(FaultSite site) {
+  if (CheckDeadline()) return false;
+  if (!FaultInjector::Enabled() || !RollFault(site)) return true;
+  Degrade(FaultSiteName(site));
+  return false;
 }
 
 }  // namespace kglink::robust

@@ -2,7 +2,9 @@
 // places a fault point (MaybeInject / TableOpContext::Attempt) in front of
 // an operation that could fail in a real deployment (a search RPC, a KG
 // lookup, a file read); the injector decides — from a seeded per-site RNG,
-// so runs are reproducible — whether that call trips.
+// so runs are reproducible — whether that call trips. A trip is never
+// retried: a file read returns kIoError, and a table-level site degrades
+// its table to the PLM-only path (TableOpContext below).
 //
 // Disabled is the default and the hot path: MaybeInject is a single relaxed
 // atomic load and branch, so fault points cost nothing measurable when no
@@ -108,10 +110,6 @@ class FaultInjector {
   // Copy of the site's active rule (zero probability when none).
   FaultRule RuleFor(FaultSite site) const;
 
-  // Deterministic uniform double in [0, 1) from a dedicated jitter stream
-  // (used by retry backoff so sleeps are reproducible per seed).
-  double JitterUniform();
-
   uint64_t seed() const;
   int64_t trip_count(FaultSite site) const;
 
@@ -133,7 +131,6 @@ class FaultInjector {
   mutable std::mutex mu_;
   uint64_t seed_ = 0;
   std::array<SiteState, kNumFaultSites> sites_;
-  Rng jitter_rng_{0};
   std::atomic<int64_t> latency_truncations_{0};
 };
 
@@ -145,6 +142,55 @@ inline bool MaybeInject(FaultSite site,
   if (!FaultInjector::Enabled()) return false;
   return FaultInjector::Global().ShouldFail(site, request);
 }
+
+// The fault and deadline gate for processing one table, used by
+// linker::KgPipeline and the predict pass. Each fallible operation calls
+// Attempt(site): one fault draw, and a trip degrades the table, which makes
+// the pipeline emit the PLM-only ProcessedTable — the paper's
+// no-KG-context path — instead of failing. The owning request's deadline
+// and cancellation degrade it the same way ("deadline" / "cancelled").
+//
+// A context built with a RequestContext draws from a private per-request
+// stream (injector seed ^ the mixed stream key), so trip decisions are
+// deterministic per seed no matter how worker threads interleave. Without
+// one it draws from the injector's shared per-site streams.
+class TableOpContext {
+ public:
+  // `request` is borrowed, may be null, and must outlive the context.
+  explicit TableOpContext(const RequestContext* request);
+
+  // Gate for one fallible operation at `site`. True when it may proceed;
+  // false when the context is (now) degraded — by a trip here, whose
+  // degrade_reason() is the site name, or by the request's deadline or
+  // cancellation. Cheap no-op branch when fault injection is disabled.
+  bool Attempt(FaultSite site);
+
+  // Single-draw fault gate for soft sites (a trip drops one lookup's
+  // evidence and never degrades). Draws from the same stream as Attempt,
+  // independent of degraded state, so callers on already-degraded paths
+  // still get a stable draw sequence.
+  bool SoftFault(FaultSite site);
+
+  bool degraded() const { return degraded_; }
+  const char* degrade_reason() const { return degrade_reason_; }
+  // The owning request (may be null) — lower layers forward it to
+  // deadline-aware calls like SearchEngine::TopK.
+  const RequestContext* request() const { return request_; }
+
+ private:
+  void Degrade(const char* reason);
+  // Degrades with reason "cancelled" / "deadline" when the request is
+  // cancelled or expired. Returns true when the context is (now) degraded.
+  // Clock-read-free when there is no request or it is unbounded.
+  bool CheckDeadline();
+  // One fault-injection draw at `site` from this context's stream.
+  bool RollFault(FaultSite site);
+
+  const RequestContext* request_;
+  Rng fault_rng_{0};  // per-request stream; used iff request_ != nullptr
+  bool degraded_ = false;
+  const char* degrade_reason_ = "";
+};
 
 }  // namespace kglink::robust
 

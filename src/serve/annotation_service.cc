@@ -7,7 +7,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "robust/retry_budget.h"
 #include "search/cell_link_cache.h"
 
 namespace kglink::serve {
@@ -64,14 +63,6 @@ ServiceOptions ValidatedServiceOptions(ServiceOptions options) {
     options.default_deadline_us = 0;
     clamp_warn("default_deadline_us");
   }
-  if (options.retry_budget_per_second < 0.0) {
-    options.retry_budget_per_second = 0.0;
-    clamp_warn("retry_budget_per_second");
-  }
-  if (options.retry_budget_burst < 0.0) {
-    options.retry_budget_burst = 0.0;
-    clamp_warn("retry_budget_burst");
-  }
   return options;
 }
 
@@ -93,17 +84,6 @@ AnnotationService::AnnotationService(core::KgLinkAnnotator* annotator,
   slo_options.num_slots = options_.stats_window_slots;
   slo_ = std::make_unique<obs::SloMonitor>(slo_options, options_.clock);
   for (auto& c : completed_) c.store(0, std::memory_order_relaxed);
-  if (options_.enable_circuit_breakers) {
-    robust::BreakerRegistry::Global().Enable(options_.breaker);
-  }
-  if (options_.retry_budget_per_second > 0.0) {
-    robust::RetryBudgetOptions budget;
-    budget.tokens_per_second = options_.retry_budget_per_second;
-    budget.burst = options_.retry_budget_burst > 0.0
-                       ? options_.retry_budget_burst
-                       : 2.0 * options_.retry_budget_per_second;
-    robust::RetryBudget::Global().Enable(budget, options_.clock);
-  }
   accepting_ = true;
   workers_.reserve(static_cast<size_t>(options_.num_threads));
   for (int i = 0; i < options_.num_threads; ++i) {
@@ -405,12 +385,6 @@ void AnnotationService::Shutdown() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  if (options_.enable_circuit_breakers) {
-    robust::BreakerRegistry::Global().Disable();
-  }
-  if (options_.retry_budget_per_second > 0.0) {
-    robust::RetryBudget::Global().Disable();
-  }
 }
 
 int64_t AnnotationService::completed(RequestStatus status) const {
@@ -476,7 +450,6 @@ std::string AnnotationService::HealthJson() const {
   out += "}";
   out += ", \"window\": " + latency_window_->SnapshotJson();
   out += ", \"slo\": " + slo_->SnapshotJson();
-  out += ", \"retry_budget\": " + robust::RetryBudget::Global().SnapshotJson();
   if (attached) {
     // Load/failure/quarantine totals come from the store's process-wide
     // counters; generation/sequence/source describe the generation this
@@ -518,18 +491,6 @@ std::string AnnotationService::HealthJson() const {
   }
   // Profiler run state + heap/process memory; refreshes process.mem.*.
   out += ", \"profile\": " + obs::Profiler::Global().StatusJson();
-  if (robust::BreakerRegistry::Enabled()) {
-    out += ", \"breakers\": {";
-    for (int i = 0; i < robust::kNumFaultSites; ++i) {
-      auto site = static_cast<robust::FaultSite>(i);
-      if (i > 0) out += ", ";
-      out += std::string("\"") + robust::FaultSiteName(site) + "\": \"" +
-             robust::BreakerStateName(
-                 robust::BreakerRegistry::Global().ForSite(site).state()) +
-             "\"";
-    }
-    out += "}";
-  }
   out += "}";
   return out;
 }

@@ -1,18 +1,14 @@
-// AnnotationService: concurrent table annotation with deadlines, admission
-// control and circuit breakers — the serving harness around
-// core::KgLinkAnnotator.
+// AnnotationService: concurrent table annotation with deadlines and
+// admission control — the serving harness around core::KgLinkAnnotator.
 //
-// Architecture (three cooperating pieces):
+// Architecture:
 //
 //   Submit ──► max_queue admission ───► bounded queue ──► worker pool
 //                │ (full queue)                             │
-//                └─► shed: degraded PLM-only run inline,    ├─► deadline /
-//                    or kOverloaded when the deadline       │   cancellation
-//                    cannot even fit that                   │   propagate to
-//                                                          │   every layer
-//                                                          └─► per-site
-//                                                              circuit
-//                                                              breakers
+//                └─► shed: degraded PLM-only run inline,    └─► deadline /
+//                    or kOverloaded when the deadline           cancellation
+//                    cannot even fit that                       propagate to
+//                                                               every layer
 //
 // - Every request carries a Deadline + CancellationToken (RequestContext)
 //   through linker::KgPipeline, search::SearchEngine::TopK and the predict
@@ -23,12 +19,12 @@
 //   caller thread runs the degraded PLM-only path inline (status kShed) if
 //   the request's deadline still allows, else the request is refused
 //   (kOverloaded) without touching the model.
-// - Per-site circuit breakers (the fault-injection site names: search.topk,
-//   kg.neighbors, predict, ...) trip on rolling post-retry error rates and
-//   fail fast while open, with half-open probes after a cooldown.
-// - Health/readiness: HealthJson() snapshots queue depth, inflight count,
-//   per-status totals and breaker states; the same numbers are exported
-//   through the obs metrics registry ("serve.*").
+// - Faults are never retried: an injected search.topk trip degrades that
+//   table to the PLM-only path (kDegraded), a predict trip fails the
+//   request (kFailed).
+// - Health/readiness: HealthJson() snapshots queue depth, inflight count
+//   and per-status totals; the same numbers are exported through the obs
+//   metrics registry ("serve.*").
 //
 // Thread safety: all public methods are safe from any thread. The borrowed
 // annotator must have finished Fit/Load before the first Submit, and
@@ -52,7 +48,6 @@
 #include "core/annotator.h"
 #include "obs/request_telemetry.h"
 #include "obs/rolling_window.h"
-#include "robust/circuit_breaker.h"
 #include "store/snapshot_store.h"
 #include "table/table.h"
 #include "util/deadline.h"
@@ -67,8 +62,6 @@ struct ServiceOptions {
   // Applied to Submit calls that do not bring their own deadline;
   // 0 = unbounded.
   int64_t default_deadline_us = 0;
-  bool enable_circuit_breakers = true;
-  robust::CircuitBreakerOptions breaker;
 
   // Latency SLO surfaced by HealthJson(): target end-to-end latency, the
   // fraction of requests required to meet it, and the two burn-rate
@@ -82,21 +75,15 @@ struct ServiceOptions {
   int64_t stats_window_us = 10'000'000;
   int stats_window_slots = 10;
 
-  // Process-wide retry budget enforced while this service is live;
-  // 0 disables (retries stay bounded per table only). burst 0 defaults to
-  // 2× the per-second rate.
-  double retry_budget_per_second = 0.0;
-  double retry_budget_burst = 0.0;
   // Injectable monotonic-microseconds clock driving the latency/SLO
-  // windows, the retry budget and queue-wait measurement. Empty = steady
-  // clock; tests inject a virtual clock for deterministic behavior.
+  // windows and queue-wait measurement. Empty = steady clock; tests inject
+  // a virtual clock for deterministic behavior.
   obs::ClockMicrosFn clock;
 };
 
 // Clamps nonsensical parameters to sane values instead of letting a
 // misconfigured service run silently: at least one thread and one queue
-// slot, and negative deadline / retry-budget values become 0 (warning
-// logged per clamp). Applied by the constructor.
+// slot, and a negative default deadline becomes 0 (warning logged). Applied by the constructor.
 ServiceOptions ValidatedServiceOptions(ServiceOptions options);
 
 // Terminal state of one request. Ordered roughly by "how much work ran".
@@ -107,7 +94,7 @@ enum class RequestStatus : int {
   kOverloaded,    // refused outright (queue full and no deadline headroom,
                   // or the service is shutting down)
   kCancelled,     // cancellation token fired
-  kFailed,        // hard failure (predict site exhausted its retries)
+  kFailed,        // hard failure (an injected fault at the predict site)
   kNumStatuses,
 };
 
@@ -138,8 +125,7 @@ struct AnnotationResult {
 class AnnotationService {
  public:
   // `annotator` is borrowed and must outlive the service; Fit/Load must
-  // have completed. Enables the process-wide circuit breakers when
-  // options.enable_circuit_breakers is set (disabled again on Shutdown).
+  // have completed.
   AnnotationService(core::KgLinkAnnotator* annotator, ServiceOptions options);
   ~AnnotationService();  // implies Shutdown()
 
@@ -192,21 +178,17 @@ class AnnotationService {
   //  "inflight":…, "completed":{status:count,…},
   //  "window":{window_s,count,mean_us,p50_us,p99_us,p999_us},
   //  "slo":{target_us,objective,burning,short:{…},long:{…}},
-  //  "retry_budget":{enabled[,tokens_per_second,burst,fill,granted,
-  //                  denied]},
   //  "snapshot":{attached,generation,sequence,source,reloading,
   //              loads,load_failures,quarantined,version_skew
   //              [,mapped_bytes,resident_bytes][,last_error]},
   //  "cell_cache":{capacity,size,hits,misses,evictions},
   //  "profile":{compiled_in,running,hz,ticks,samples,…,heap:{…},
-  //             process:{rss_bytes,peak_rss_bytes,arena_bytes}},
-  //  "breakers":{site:state,…}}
+  //             process:{rss_bytes,peak_rss_bytes,arena_bytes}}}
   // "window"/"slo" cover the sliding windows configured in ServiceOptions
   // (not cumulative-since-start). snapshot appears only after
   // AttachSnapshotStore (mapped/resident bytes once a generation is
   // adopted — a mincore scan refreshed per render, -1 where unsupported);
-  // cell_cache only when the annotator's cell-link cache is enabled;
-  // breaker states only while breakers are enabled.
+  // cell_cache only when the annotator's cell-link cache is enabled.
   std::string HealthJson() const;
 
   // Total requests that finished with `status` (includes shed/overloaded

@@ -100,7 +100,7 @@ struct BatchResult {
 // Submits `count` zipf-picked requests from a single thread (stream keys —
 // and with them the per-request fault streams — follow submission order),
 // then folds every result into a checksum. Byte-identical per seed when
-// the queue is large enough that nothing is shed and breakers are off.
+// the queue is large enough that nothing is shed.
 BatchResult RunBatch(AnnotationService& service,
                      const std::vector<const table::Table*>& tables,
                      int count, const LoadgenOptions& options);

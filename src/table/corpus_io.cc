@@ -2,7 +2,7 @@
 
 #include <filesystem>
 
-#include "robust/retry.h"
+#include "robust/fault_injector.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 
@@ -12,12 +12,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// All corpus reads go through the "io.read" fault site with bounded
-// retries, so transient storage failures are retried and injected ones are
-// exercised in tests.
+// All corpus reads go through the "io.read" fault site: a trip fails the
+// read with kIoError, as a real storage error would, so tests exercise the
+// error path.
 StatusOr<std::string> ReadCorpusFile(const std::string& path) {
-  return robust::WithRetry(robust::FaultSite::kIoRead, robust::RetryPolicy{},
-                           [&] { return ReadFile(path); });
+  if (robust::MaybeInject(robust::FaultSite::kIoRead)) {
+    return Status::IoError("injected fault at io.read: " + path);
+  }
+  return ReadFile(path);
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ enum class StatusCode {
   kFailedPrecondition,
   kInternal,
   kDeadlineExceeded,
-  kUnavailable,   // transiently refused (overload shed, open breaker)
+  kUnavailable,   // refused (overload, shutdown) or predict fault trip
   kVersionSkew,   // artifact written by a newer format than this binary
 };
 

@@ -194,8 +194,7 @@ TEST_F(LinkerCacheFixture, ExpiredRequestNeitherReadsNorPoisonsCache) {
 
   RequestContext expired;
   expired.deadline = Deadline::Expired();
-  robust::TableOpContext ctx(config.retry, config.fault_budget,
-                             /*jitter_seed=*/1, &expired);
+  robust::TableOpContext ctx(&expired);
   linker::CellLinks degraded = linker.LinkCell(cell, &ctx);
   EXPECT_TRUE(degraded.retrieved.empty());
   // Nothing was stored: the truncated result must not poison later
@@ -218,8 +217,7 @@ TEST_F(LinkerCacheFixture, ExpiredRequestNeverGetsACachedResult) {
 
   RequestContext expired;
   expired.deadline = Deadline::Expired();
-  robust::TableOpContext ctx(config.retry, config.fault_budget,
-                             /*jitter_seed=*/1, &expired);
+  robust::TableOpContext ctx(&expired);
   // The warm entry must not leak to an expired request — it degrades like
   // any other deadline miss instead of returning stale-but-fast data the
   // serving contract says it must not produce.
@@ -242,12 +240,13 @@ TEST_F(LinkerCacheFixture, CacheHitsAreIndependentOfFaultDraws) {
     config.cell_cache_capacity = 128;
     linker::EntityLinker linker(&kg_, engine_.get(), config);
     if (warm) linker.LinkCell(cell);  // no ctx: no fault draw, cache warm
-    RequestContext rc;
-    rc.stream_key = 7;
-    robust::TableOpContext ctx(config.retry, config.fault_budget,
-                               /*jitter_seed=*/3, &rc);
+    // A trip degrades its context, so each lookup gets a fresh one on its
+    // own request stream.
     std::vector<bool> linkable;
-    for (int i = 0; i < 16; ++i) {
+    for (uint64_t i = 0; i < 16; ++i) {
+      RequestContext rc;
+      rc.stream_key = i;
+      robust::TableOpContext ctx(&rc);
       linkable.push_back(linker.LinkCell(cell, &ctx).linkable);
     }
     return linkable;

@@ -79,9 +79,9 @@ TEST_F(ChaosTest, SurvivesSearchFaultsAndPoisonedBatches) {
   options.epochs = 8;
   double clean_acc = TrainAndEvaluate(options);
 
-  // Chaos run: 10% of BM25 retrievals fail (retried under the policy, then
-  // charged to the per-table budget) and ~1% of training tables come back
-  // with a poisoned NaN loss. Deterministic per seed, so reproducible.
+  // Chaos run: 10% of BM25 retrievals fail (a trip degrades its table to
+  // the PLM-only path) and ~1% of training tables come back with a
+  // poisoned NaN loss. Deterministic per seed, so reproducible.
   int64_t degraded_before = degraded.value();
   int64_t skipped_before = skipped.value();
   ASSERT_TRUE(robust::FaultInjector::Global()

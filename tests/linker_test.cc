@@ -250,8 +250,7 @@ TEST_F(LinkerFixture, DegradedLinkRowIsPaddedToFullWidth) {
                   .ConfigureFromSpec("search.topk:1.0", 42)
                   .ok());
   EntityLinker linker(&kg_, engine_.get(), config_);
-  robust::TableOpContext ctx(config_.retry, config_.fault_budget,
-                             /*jitter_seed=*/1);
+  robust::TableOpContext ctx(nullptr);
   RowLinks row = linker.LinkRow(tbl_, 0);
   RowLinks degraded = linker.LinkRow(tbl_, 0, &ctx);
   robust::FaultInjector::Global().Disable();

@@ -1,131 +1,14 @@
-// Overload-control unit tests under a virtual clock: the process retry
-// budget (token bucket + WithRetry integration), ServiceOptions validation
-// clamps, and deadline-aware latency-fault truncation.
+// Overload-control unit tests: ServiceOptions validation clamps and
+// deadline-aware latency-fault truncation.
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "robust/fault_injector.h"
-#include "robust/retry.h"
-#include "robust/retry_budget.h"
 #include "serve/annotation_service.h"
 #include "util/deadline.h"
-#include "util/status.h"
 #include "util/stopwatch.h"
 
 namespace kglink::serve {
 namespace {
-
-// Virtual clock: tests advance time explicitly; nothing sleeps.
-struct VClock {
-  int64_t now_us = 1'000'000;
-  obs::ClockMicrosFn fn() {
-    return [this] { return now_us; };
-  }
-};
-
-// --- Retry budget -------------------------------------------------------
-
-TEST(RetryBudgetTest, BucketDrainsAndRefillsOnVirtualClock) {
-  VClock clock;
-  robust::RetryBudgetOptions o;
-  o.tokens_per_second = 10.0;
-  o.burst = 3.0;
-  robust::RetryBudget::Global().Enable(o, clock.fn());
-
-  EXPECT_TRUE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_TRUE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_TRUE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_FALSE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_EQ(robust::RetryBudget::Global().granted(), 3);
-  EXPECT_EQ(robust::RetryBudget::Global().denied(), 1);
-
-  // 150ms at 10 tokens/s = 1.5 tokens back: one grant, then denial again.
-  // (Not exactly 1.0 worth — the refill product is floating point.)
-  clock.now_us += 150'000;
-  EXPECT_TRUE(robust::RetryBudget::Global().TryAcquire());
-  EXPECT_FALSE(robust::RetryBudget::Global().TryAcquire());
-
-  // Refill is capped at burst.
-  clock.now_us += 10'000'000;
-  EXPECT_DOUBLE_EQ(robust::RetryBudget::Global().fill(), 3.0);
-
-  robust::RetryBudget::Global().Disable();
-}
-
-TEST(RetryBudgetTest, ExhaustedBudgetFailsWithRetryInsteadOfRetrying) {
-  // A fault site that always trips: with budget, WithRetry retries to
-  // max_attempts; with the budget exhausted it gives up after the first
-  // attempt with kUnavailable instead of burning more attempts.
-  ASSERT_TRUE(robust::FaultInjector::Global()
-                  .ConfigureFromSpec("io.read:1.0", 7)
-                  .ok());
-  VClock clock;
-  robust::RetryBudgetOptions o;
-  o.tokens_per_second = 1.0;
-  o.burst = 1.0;
-  robust::RetryBudget::Global().Enable(o, clock.fn());
-
-  robust::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_us = 1;
-  policy.max_backoff_us = 1;
-  int calls = 0;
-  auto fn = [&calls]() {
-    ++calls;
-    return Status::Ok();
-  };
-  // First run: one retry token available, then the budget denies — the
-  // result is the budget's Unavailable, not the injected IoError.
-  Status first = robust::WithRetry(robust::FaultSite::kIoRead, policy, fn);
-  EXPECT_EQ(first.code(), StatusCode::kUnavailable);
-  EXPECT_NE(first.ToString().find("retry budget exhausted"),
-            std::string::npos);
-  // Second run: no tokens at all — fails before any backoff.
-  Status second = robust::WithRetry(robust::FaultSite::kIoRead, policy, fn);
-  EXPECT_EQ(second.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 0);  // every attempt was suppressed by the injector
-  EXPECT_GE(robust::RetryBudget::Global().denied(), 2);
-
-  robust::RetryBudget::Global().Disable();
-  robust::FaultInjector::Global().Disable();
-}
-
-TEST(RetryBudgetTest, TableContextDegradesWhenBudgetExhausted) {
-  ASSERT_TRUE(robust::FaultInjector::Global()
-                  .ConfigureFromSpec("search.topk:1.0", 7)
-                  .ok());
-  VClock clock;
-  robust::RetryBudgetOptions o;
-  o.tokens_per_second = 0.001;  // effectively no refill during the test
-  o.burst = 1.0;
-  robust::RetryBudget::Global().Enable(o, clock.fn());
-
-  robust::RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.base_backoff_us = 1;
-  policy.max_backoff_us = 1;
-  robust::TableBudget budget;
-  budget.max_failed_ops = 0;
-  budget.max_retries = 64;
-  robust::TableOpContext ctx(policy, budget, 1);
-  // The always-tripping site forces a retry; the budget (1 token) grants
-  // one, then denies — the context degrades instead of spinning through
-  // max_attempts.
-  EXPECT_FALSE(ctx.Attempt(robust::FaultSite::kSearchTopK));
-  EXPECT_TRUE(ctx.degraded());
-  EXPECT_STREQ(ctx.degrade_reason(), "retry budget exhausted");
-
-  robust::RetryBudget::Global().Disable();
-  robust::FaultInjector::Global().Disable();
-}
-
-TEST(RetryBudgetTest, DisabledBudgetNeverGates) {
-  robust::RetryBudget::Global().Disable();
-  EXPECT_FALSE(robust::RetryBudget::Enabled());
-  std::string json = robust::RetryBudget::Global().SnapshotJson();
-  EXPECT_NE(json.find("\"enabled\": false"), std::string::npos);
-}
 
 // --- ServiceOptions validation ------------------------------------------
 
@@ -134,14 +17,10 @@ TEST(ValidatedServiceOptionsTest, ClampsNonsenseToSaneValues) {
   o.num_threads = 0;
   o.max_queue = -5;
   o.default_deadline_us = -1;
-  o.retry_budget_per_second = -3.0;
-  o.retry_budget_burst = -1.0;
   ServiceOptions v = ValidatedServiceOptions(o);
   EXPECT_EQ(v.num_threads, 1);
   EXPECT_EQ(v.max_queue, 1);
   EXPECT_EQ(v.default_deadline_us, 0);
-  EXPECT_EQ(v.retry_budget_per_second, 0.0);
-  EXPECT_EQ(v.retry_budget_burst, 0.0);
 }
 
 // --- Deadline-aware latency faults --------------------------------------

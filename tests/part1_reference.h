@@ -22,7 +22,7 @@
 #include "linker/feature_sequence.h"
 #include "linker/row_filter.h"
 #include "linker/types.h"
-#include "robust/retry.h"
+#include "robust/fault_injector.h"
 #include "table/table.h"
 
 namespace kglink::linker::reference {
@@ -117,14 +117,13 @@ inline std::vector<CandidateType> CandidateTypes(
   return out;
 }
 
-// KgPipeline::Process for a table whose fault budget holds (soft faults
+// KgPipeline::Process for a table that no fault degrades (soft faults
 // only), built from the two reference steps above.
 inline ProcessedTable Process(const EntityLinker& linker,
                               const kg::KnowledgeGraph& kg,
                               const table::Table& table) {
   const LinkerConfig& config = linker.config();
-  robust::TableOpContext ctx(config.retry, config.fault_budget,
-                             /*jitter_seed=*/0);
+  robust::TableOpContext ctx(nullptr);
   std::vector<RowLinks> all_rows;
   std::vector<double> row_scores;
   for (int r = 0; r < table.num_rows(); ++r) {

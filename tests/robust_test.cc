@@ -1,21 +1,18 @@
 // Fault-injection framework tests: deterministic seeded trip streams,
-// spec parsing, retry/backoff policy, per-table budgets, and the linker
+// spec parsing, the per-table fault and deadline gate, and the linker
 // pipeline's degraded (PLM-only) fallback.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <filesystem>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "linker/pipeline.h"
 #include "obs/metrics.h"
-#include "robust/circuit_breaker.h"
 #include "robust/fault_injector.h"
-#include "robust/retry.h"
 #include "search/search_engine.h"
+#include "table/corpus_io.h"
 #include "util/deadline.h"
-#include "util/stopwatch.h"
 
 namespace kglink::robust {
 namespace {
@@ -124,115 +121,24 @@ TEST_F(FaultInjectorTest, LatencyRuleSleepsButSucceeds) {
   EXPECT_EQ(FaultInjector::Global().trip_count(FaultSite::kIoRead), 5);
 }
 
-TEST(RetryPolicyTest, BackoffGrowsAndIsCappedWithJitterBounds) {
-  RetryPolicy policy;  // base 100us, x2, cap 5000us
-  for (double jitter : {0.0, 0.5, 0.999}) {
-    int64_t prev = 0;
-    for (int attempt = 1; attempt <= 10; ++attempt) {
-      int64_t b = policy.BackoffMicros(attempt, jitter);
-      EXPECT_GE(b, prev);  // non-decreasing
-      EXPECT_LE(b, policy.max_backoff_us);
-      prev = b;
-    }
-    // First retry: within [base/2, base).
-    EXPECT_GE(policy.BackoffMicros(1, jitter), policy.base_backoff_us / 2);
-    EXPECT_LT(policy.BackoffMicros(1, jitter), policy.base_backoff_us);
-  }
-}
-
 TEST_F(FaultInjectorTest, TableOpContextPassesThroughWhenDisabled) {
-  TableOpContext ctx(RetryPolicy{}, TableBudget{}, 1);
+  TableOpContext ctx(nullptr);
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(ctx.Attempt(FaultSite::kSearchTopK));
   }
-  EXPECT_FALSE(ctx.degraded());
-  EXPECT_EQ(ctx.retries_used(), 0);
-}
-
-TEST_F(FaultInjectorTest, TableOpContextRetriesTransientFaults) {
-  // p=0.5 with 4 attempts: most ops succeed after a few retries.
-  FaultInjector::Global().Configure(
-      {{FaultSite::kSearchTopK, {0.5, 0}}}, 11);
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.base_backoff_us = 1;  // keep the test fast
-  policy.max_backoff_us = 2;
-  TableBudget budget;
-  budget.max_retries = 1000000;
-  budget.max_failed_ops = 1000000;
-  TableOpContext ctx(policy, budget, 2);
-  int ok = 0;
-  for (int i = 0; i < 100; ++i) {
-    ok += ctx.Attempt(FaultSite::kSearchTopK) ? 1 : 0;
-  }
-  EXPECT_GT(ok, 80);          // 1 - 0.5^4 ~ 94% per op
-  EXPECT_GT(ctx.retries_used(), 0);
   EXPECT_FALSE(ctx.degraded());
 }
 
 TEST_F(FaultInjectorTest, TableOpContextDegradesOnHardFailure) {
   FaultInjector::Global().Configure(
       {{FaultSite::kSearchTopK, {1.0, 0}}}, 5);
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.base_backoff_us = 1;
-  policy.max_backoff_us = 2;
-  TableOpContext ctx(policy, TableBudget{}, 3);  // 0 hard failures allowed
+  TableOpContext ctx(nullptr);
   EXPECT_FALSE(ctx.Attempt(FaultSite::kSearchTopK));
   EXPECT_TRUE(ctx.degraded());
-  EXPECT_STREQ(ctx.degrade_reason(), "fault budget exhausted");
-  // Degraded contexts short-circuit.
+  EXPECT_STREQ(ctx.degrade_reason(), "search.topk");
+  // Degraded contexts short-circuit without another draw.
   EXPECT_FALSE(ctx.Attempt(FaultSite::kSearchTopK));
-}
-
-TEST_F(FaultInjectorTest, TableOpContextDegradesWhenRetryBudgetExhausted) {
-  FaultInjector::Global().Configure(
-      {{FaultSite::kSearchTopK, {1.0, 0}}}, 5);
-  RetryPolicy policy;
-  policy.max_attempts = 10;
-  policy.base_backoff_us = 1;
-  policy.max_backoff_us = 2;
-  TableBudget budget;
-  budget.max_retries = 3;
-  TableOpContext ctx(policy, budget, 3);
-  EXPECT_FALSE(ctx.Attempt(FaultSite::kSearchTopK));
-  EXPECT_TRUE(ctx.degraded());
-  EXPECT_STREQ(ctx.degrade_reason(), "retry budget exhausted");
-}
-
-TEST_F(FaultInjectorTest, WithRetrySurvivesTransientInjection) {
-  FaultInjector::Global().Configure({{FaultSite::kIoRead, {0.5, 0}}}, 9);
-  RetryPolicy policy;
-  policy.max_attempts = 8;
-  policy.base_backoff_us = 1;
-  policy.max_backoff_us = 2;
-  int calls = 0;
-  int successes = 0;
-  for (int i = 0; i < 50; ++i) {
-    Status s = WithRetry(FaultSite::kIoRead, policy, [&] {
-      ++calls;
-      return Status::Ok();
-    });
-    successes += s.ok() ? 1 : 0;
-  }
-  // p_hard = 0.5^8 per op; deterministic for this seed (one hard failure).
-  EXPECT_GE(successes, 48);
-  EXPECT_GT(calls, 0);
-}
-
-TEST_F(FaultInjectorTest, WithRetryReturnsInjectedErrorOnHardFailure) {
-  FaultInjector::Global().Configure({{FaultSite::kIoRead, {1.0, 0}}}, 9);
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_us = 1;
-  policy.max_backoff_us = 2;
-  bool called = false;
-  Status s = WithRetry(FaultSite::kIoRead, policy, [&] {
-    called = true;
-    return Status::Ok();
-  });
-  EXPECT_FALSE(called);
-  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_EQ(FaultInjector::Global().trip_count(FaultSite::kSearchTopK), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,11 +180,7 @@ TEST_F(DegradedPipelineTest, AllFaultsYieldDegradedPlmOnlyTable) {
       .Reset();
   FaultInjector::Global().Configure(
       {{FaultSite::kSearchTopK, {1.0, 0}}}, 5);
-  linker::LinkerConfig config;
-  config.retry.max_attempts = 2;
-  config.retry.base_backoff_us = 1;
-  config.retry.max_backoff_us = 2;
-  linker::KgPipeline pipeline(&kg_, engine_.get(), config);
+  linker::KgPipeline pipeline(&kg_, engine_.get(), {});
   linker::ProcessedTable out = pipeline.Process(tbl_);
 
   EXPECT_TRUE(out.degraded);
@@ -299,6 +201,39 @@ TEST_F(DegradedPipelineTest, AllFaultsYieldDegradedPlmOnlyTable) {
                 .GetCounter("robust.degraded_tables")
                 .value(),
             1);
+}
+
+TEST_F(DegradedPipelineTest, InjectedFaultIsNeverRetried) {
+  // search.topk: the first trip degrades the whole table, so one Process
+  // makes exactly one draw at the site.
+  FaultInjector::Global().Configure(
+      {{FaultSite::kSearchTopK, {1.0, 0}}}, 5);
+  linker::KgPipeline pipeline(&kg_, engine_.get(), {});
+  linker::ProcessedTable out = pipeline.Process(tbl_);
+  EXPECT_TRUE(out.degraded);
+  EXPECT_EQ(out.degrade_reason, "search.topk");
+  EXPECT_EQ(FaultInjector::Global().trip_count(FaultSite::kSearchTopK), 1);
+
+  // io.read: a corpus read fails with kIoError on its first trip.
+  FaultInjector::Global().Disable();
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "kglink_never_retried")
+          .string();
+  std::filesystem::remove_all(dir);
+  table::Corpus corpus;
+  corpus.name = "tiny";
+  corpus.label_names = {"album", "human", "year"};
+  corpus.tables.push_back({tbl_, {0, 1, 2}});
+  ASSERT_TRUE(table::SaveCorpus(corpus, dir).ok());
+  FaultInjector::Global().Configure({{FaultSite::kIoRead, {1.0, 0}}}, 5);
+  StatusOr<table::Corpus> loaded = table::LoadCorpus(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(FaultInjector::Global().trip_count(FaultSite::kIoRead), 1);
+
+  FaultInjector::Global().Disable();
+  EXPECT_TRUE(table::LoadCorpus(dir).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(DegradedPipelineTest, NoFaultsMatchesBaselineOutput) {
@@ -335,14 +270,14 @@ TEST_F(DegradedPipelineTest, SoftKgNeighborFaultsDegradeEvidenceNotTables) {
   }
 }
 
-// --- Deadline- and cancellation-aware retries (serving path) ------------
+// --- Deadline and cancellation (serving path) ----------------------------
 
 TEST_F(FaultInjectorTest, ExpiredRequestDegradesAttemptEvenWithoutFaults) {
   // Deadline enforcement is not gated on fault injection being enabled:
   // an expired request degrades the very first Attempt.
   RequestContext rc;
   rc.deadline = Deadline::Expired();
-  TableOpContext ctx({}, {}, 1, &rc);
+  TableOpContext ctx(&rc);
   EXPECT_FALSE(ctx.Attempt(FaultSite::kSearchTopK));
   EXPECT_TRUE(ctx.degraded());
   EXPECT_STREQ(ctx.degrade_reason(), "deadline");
@@ -353,69 +288,10 @@ TEST_F(FaultInjectorTest, CancellationWinsOverExpiredDeadline) {
   rc.deadline = Deadline::Expired();
   rc.cancel = CancellationToken::Cancellable();
   rc.cancel.Cancel();
-  TableOpContext ctx({}, {}, 1, &rc);
+  TableOpContext ctx(&rc);
   EXPECT_FALSE(ctx.Attempt(FaultSite::kPredict));
   EXPECT_TRUE(ctx.degraded());
   EXPECT_STREQ(ctx.degrade_reason(), "cancelled");
-}
-
-TEST_F(FaultInjectorTest, RetryStopsBeforeBackoffThatWouldMissDeadline) {
-  // Every attempt fails and the policy's backoff (>= 25ms with jitter) can
-  // never finish inside the 5ms request budget: the retry loop must give
-  // up immediately with reason "deadline" instead of sleeping past it.
-  ASSERT_TRUE(FaultInjector::Global()
-                  .ConfigureFromSpec("search.topk:1.0", 11)
-                  .ok());
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_us = 50000;
-  policy.max_backoff_us = 50000;
-  TableBudget budget;
-  budget.max_failed_ops = 5;
-  RequestContext rc;
-  rc.deadline = Deadline::AfterMillis(5);
-  TableOpContext ctx(policy, budget, 1, &rc);
-
-  Stopwatch watch;
-  EXPECT_FALSE(ctx.Attempt(FaultSite::kSearchTopK));
-  EXPECT_TRUE(ctx.degraded());
-  EXPECT_STREQ(ctx.degrade_reason(), "deadline");
-  // Gave up without serving the 25-50ms backoff sleep.
-  EXPECT_LT(watch.ElapsedSeconds(), 0.020);
-}
-
-TEST_F(FaultInjectorTest, WithRetryShortCircuitsExpiredRequest) {
-  RequestContext rc;
-  rc.deadline = Deadline::Expired();
-  int calls = 0;
-  Status s = WithRetry(
-      FaultSite::kIoRead, {},
-      [&] {
-        ++calls;
-        return Status::Ok();
-      },
-      &rc);
-  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(calls, 0);
-}
-
-TEST_F(FaultInjectorTest, WithRetryStopsRetryingAtTheDeadline) {
-  // Injection suppresses every attempt; the first backoff cannot fit in
-  // the remaining budget, so the result is kDeadlineExceeded — promptly —
-  // rather than the kIoError a fully exhausted retry loop would produce.
-  ASSERT_TRUE(
-      FaultInjector::Global().ConfigureFromSpec("io.read:1.0", 11).ok());
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.base_backoff_us = 50000;
-  policy.max_backoff_us = 50000;
-  RequestContext rc;
-  rc.deadline = Deadline::AfterMillis(5);
-  Stopwatch watch;
-  Status s = WithRetry(
-      FaultSite::kIoRead, policy, [] { return Status::Ok(); }, &rc);
-  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(watch.ElapsedSeconds(), 0.020);
 }
 
 TEST_F(FaultInjectorTest, PerRequestStreamsAreScheduleIndependent) {
@@ -425,19 +301,15 @@ TEST_F(FaultInjectorTest, PerRequestStreamsAreScheduleIndependent) {
   ASSERT_TRUE(FaultInjector::Global()
                   .ConfigureFromSpec("search.topk:0.5", 42)
                   .ok());
-  RetryPolicy one_shot;
-  one_shot.max_attempts = 1;  // one draw per Attempt
-  TableBudget roomy;
-  roomy.max_failed_ops = 1000;
-  roomy.max_retries = 100000;
-
+  // SoftFault draws from the same per-request stream as Attempt but never
+  // degrades, so one context yields a whole sequence.
   auto draw = [&](uint64_t stream_key) {
     RequestContext rc;
     rc.stream_key = stream_key;
-    TableOpContext ctx(one_shot, roomy, 1, &rc);
+    TableOpContext ctx(&rc);
     std::vector<bool> out;
     for (int i = 0; i < 40; ++i) {
-      out.push_back(ctx.Attempt(FaultSite::kSearchTopK));
+      out.push_back(ctx.SoftFault(FaultSite::kSearchTopK));
     }
     return out;
   };
@@ -457,98 +329,14 @@ TEST_F(FaultInjectorTest, SoftFaultDrawsWithoutBudgetOrDegrade) {
   ASSERT_TRUE(FaultInjector::Global()
                   .ConfigureFromSpec("kg.neighbors:1.0", 11)
                   .ok());
-  TableOpContext ctx({}, {}, 1);
+  TableOpContext ctx(nullptr);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(ctx.SoftFault(FaultSite::kKgNeighbors));
   }
-  EXPECT_EQ(ctx.failed_ops(), 0);
-  EXPECT_EQ(ctx.retries_used(), 0);
   EXPECT_FALSE(ctx.degraded());
 
   FaultInjector::Global().Disable();
   EXPECT_FALSE(ctx.SoftFault(FaultSite::kKgNeighbors));
-}
-
-// --- Circuit breakers ----------------------------------------------------
-
-CircuitBreakerOptions FastBreaker() {
-  CircuitBreakerOptions o;
-  o.window = 8;
-  o.min_samples = 4;
-  o.failure_ratio = 0.5;
-  o.open_cooldown_us = 2000;
-  o.half_open_probes = 1;
-  return o;
-}
-
-TEST(CircuitBreakerTest, TripsOpenAndRecoversThroughHalfOpen) {
-  CircuitBreaker b(FaultSite::kSearchTopK, FastBreaker());
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(b.Allow());
-    b.RecordFailure();
-  }
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 1);
-  EXPECT_FALSE(b.Allow());  // fail fast while the cooldown runs
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(b.Allow());  // cooldown elapsed: one half-open probe
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.RecordSuccess();
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  // The window was cleared on close: old failures do not linger.
-  b.RecordFailure();
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-}
-
-TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens) {
-  CircuitBreaker b(FaultSite::kIoRead, FastBreaker());
-  for (int i = 0; i < 4; ++i) b.RecordFailure();
-  ASSERT_EQ(b.state(), BreakerState::kOpen);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_TRUE(b.Allow());
-  b.RecordFailure();
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 2);
-}
-
-TEST(CircuitBreakerTest, HalfOpenAdmitsOnlyConfiguredProbes) {
-  CircuitBreaker b(FaultSite::kIoWrite, FastBreaker());
-  for (int i = 0; i < 4; ++i) b.RecordFailure();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(b.Allow());   // the single probe slot
-  EXPECT_FALSE(b.Allow());  // concurrent calls keep failing fast
-}
-
-TEST(CircuitBreakerTest, StaysClosedBelowFailureRatio) {
-  CircuitBreaker b(FaultSite::kPredict, FastBreaker());
-  for (int i = 0; i < 50; ++i) {
-    b.RecordSuccess();
-    b.RecordSuccess();
-    b.RecordSuccess();
-    b.RecordFailure();  // 25% failure rate, threshold is 50%
-  }
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_EQ(b.trips(), 0);
-}
-
-TEST(CircuitBreakerTest, RegistryGatesAndReconfiguresInPlace) {
-  EXPECT_FALSE(BreakerRegistry::Enabled());
-  CircuitBreaker& before =
-      BreakerRegistry::Global().ForSite(FaultSite::kSearchTopK);
-  BreakerRegistry::Global().Enable(FastBreaker());
-  EXPECT_TRUE(BreakerRegistry::Enabled());
-  CircuitBreaker& after =
-      BreakerRegistry::Global().ForSite(FaultSite::kSearchTopK);
-  // Enable reconfigures the existing objects; references never dangle.
-  EXPECT_EQ(&before, &after);
-
-  for (int i = 0; i < 4; ++i) after.RecordFailure();
-  EXPECT_EQ(after.state(), BreakerState::kOpen);
-  BreakerRegistry::Global().Disable();
-  EXPECT_FALSE(BreakerRegistry::Enabled());
-  EXPECT_EQ(after.state(), BreakerState::kClosed);
 }
 
 }  // namespace

@@ -327,7 +327,7 @@ TEST(RequestTelemetryTest, JsonCarriesStagesAndEvents) {
   RequestTelemetry t;
   t.AddStage(Stage::kLink, 900);
   t.AddStage(Stage::kTopK, 400);
-  t.retries = 2;
+  t.degrade_events = 2;
   t.cache_hits = 7;
   std::string json = t.Json();
   EXPECT_TRUE(IsValidJson(json)) << json;
@@ -337,7 +337,7 @@ TEST(RequestTelemetryTest, JsonCarriesStagesAndEvents) {
   ASSERT_NE(stages, nullptr);
   EXPECT_DOUBLE_EQ(stages->NumberOr("link_us", -1.0), 500.0);  // exclusive
   EXPECT_DOUBLE_EQ(stages->NumberOr("topk_us", -1.0), 400.0);
-  EXPECT_DOUBLE_EQ(doc->NumberOr("retries", -1.0), 2.0);
+  EXPECT_DOUBLE_EQ(doc->NumberOr("degrade_events", -1.0), 2.0);
   EXPECT_DOUBLE_EQ(doc->NumberOr("cache_hits", -1.0), 7.0);
   EXPECT_DOUBLE_EQ(doc->NumberOr("stage_total_us", -1.0), 900.0);
 }

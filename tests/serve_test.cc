@@ -1,7 +1,7 @@
 // AnnotationService unit tests: deadline short-circuiting at every gated
-// site, admission control (enqueue / shed / refuse), shutdown draining,
-// health reporting and the circuit-breaker integration. The concurrent
-// chaos acceptance lives in concurrent_chaos_test.cc.
+// site, admission control (enqueue / shed / refuse), shutdown draining and
+// health reporting. The concurrent chaos acceptance lives in
+// concurrent_chaos_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "obs/json_util.h"
 #include "obs/metrics.h"
 #include "obs/request_telemetry.h"
-#include "robust/circuit_breaker.h"
 #include "robust/fault_injector.h"
 #include "search/search_engine.h"
 #include "serve/annotation_service.h"
@@ -64,7 +63,6 @@ class ServeTest : public ::testing::Test {
 
   void TearDown() override {
     robust::FaultInjector::Global().Disable();
-    robust::BreakerRegistry::Global().Disable();
     obs::FlightRecorder::Global().Disable();
   }
 
@@ -308,14 +306,14 @@ TEST_F(ServeTest, HealthJsonReflectsServiceState) {
   EXPECT_NE(health.find("\"threads\": 2"), std::string::npos) << health;
   EXPECT_NE(health.find("\"max_queue\": 8"), std::string::npos) << health;
   EXPECT_NE(health.find("\"ok\": 1"), std::string::npos) << health;
-  // Breakers are enabled while the service runs, so their states appear.
-  EXPECT_NE(health.find("\"search.topk\": \"closed\""), std::string::npos)
-      << health;
+  // Faults are never retried, so there is no breaker or retry-budget state
+  // to report.
+  EXPECT_EQ(health.find("\"breakers\""), std::string::npos) << health;
+  EXPECT_EQ(health.find("\"retry_budget\""), std::string::npos) << health;
 
   service.Shutdown();
   health = service.HealthJson();
   EXPECT_NE(health.find("\"accepting\": false"), std::string::npos) << health;
-  // Shutdown disabled the breakers again; the section disappears.
   EXPECT_EQ(health.find("\"breakers\""), std::string::npos) << health;
 }
 
@@ -425,43 +423,29 @@ TEST_F(ServeTest, FlightRecorderCapturesInducedSlowRequest) {
 #endif
 }
 
-// --- Circuit-breaker integration ----------------------------------------
+// --- Fault degradation ---------------------------------------------------
 
-TEST_F(ServeTest, RepeatedHardFailuresTripTheSearchBreaker) {
-  // Every retrieval fails hard: each table records one post-retry failure
-  // at search.topk, and after min_samples of those the breaker trips open.
-  // Later tables then short-circuit (fail fast to the degraded path)
-  // instead of burning retries.
+TEST_F(ServeTest, SearchFaultsDegradeEachTableOnce) {
+  // Every retrieval trips: each table degrades to the PLM-only path on its
+  // first search.topk draw — full-width predictions, the site as the
+  // reason, and exactly one trip per table (faults are never retried).
   ASSERT_TRUE(robust::FaultInjector::Global()
                   .ConfigureFromSpec("search.topk:1.0", 3)
                   .ok());
   ServiceOptions so;
   so.num_threads = 1;
   so.max_queue = 16;
-  so.breaker.window = 8;
-  so.breaker.min_samples = 3;
-  so.breaker.failure_ratio = 0.5;
-  so.breaker.open_cooldown_us = 60'000'000;  // stays open for this test
   AnnotationService service(annotator_, so);
-
-  int64_t short_circuits_before =
-      obs::MetricsRegistry::Global()
-          .GetCounter("robust.breaker.search.topk.short_circuits")
-          .value();
   for (int i = 0; i < 6; ++i) {
-    AnnotationResult r = service.Submit(TestTable(static_cast<size_t>(i))).get();
+    const table::Table& t = TestTable(static_cast<size_t>(i));
+    AnnotationResult r = service.Submit(t).get();
     EXPECT_EQ(r.status, RequestStatus::kDegraded);
-    EXPECT_EQ(r.predictions.size(),
-              static_cast<size_t>(TestTable(static_cast<size_t>(i)).num_cols()));
+    EXPECT_EQ(r.degrade_reason, "search.topk");
+    EXPECT_EQ(r.predictions.size(), static_cast<size_t>(t.num_cols()));
   }
-  robust::CircuitBreaker& breaker = robust::BreakerRegistry::Global().ForSite(
-      robust::FaultSite::kSearchTopK);
-  EXPECT_EQ(breaker.state(), robust::BreakerState::kOpen);
-  EXPECT_GE(breaker.trips(), 1);
-  EXPECT_GT(obs::MetricsRegistry::Global()
-                .GetCounter("robust.breaker.search.topk.short_circuits")
-                .value(),
-            short_circuits_before);
+  EXPECT_EQ(
+      robust::FaultInjector::Global().trip_count(robust::FaultSite::kSearchTopK),
+      6);
 }
 
 // --- Overload control: the hard queue bound ----------------------------
