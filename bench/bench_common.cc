@@ -217,7 +217,7 @@ void InitObservabilityFromEnv() {
       if (!obs::kProfilerCompiledIn) {
         std::fprintf(stderr,
                      "KGLINK_PROFILE set but this build has no profiler "
-                     "(configure -DKGLINK_ENABLE_PROFILER=ON)\n");
+                     "(configure -DKGLINK_ENABLE_OBS=ON)\n");
       } else {
         ProfilePrefix() = profile;
         obs::ProfilerOptions opts;

@@ -98,7 +98,7 @@ BENCHMARK(BM_Serialize);
 // over every trial (including google-benchmark's untimed calibration
 // ramp-up runs, which the reporter never sees but the sampling profiler
 // does). scripts/profile_report.py reconciles the profiler's inclusive
-// encoder.forward time against this total, not the reported per-iteration
+// nn.encoder_forward time against this total, not the reported per-iteration
 // number, so calibration work cannot skew the comparison.
 struct ForwardWallClock {
   int64_t wall_ns = 0;

@@ -948,7 +948,7 @@ int main(int argc, char** argv) {
   if (!args.profile_prefix.empty()) {
     if (!obs::kProfilerCompiledIn) {
       std::fprintf(stderr,
-                   "warning: built with KGLINK_ENABLE_PROFILER=OFF; "
+                   "warning: built with KGLINK_ENABLE_OBS=OFF; "
                    "--profile will record nothing\n");
     } else {
       obs::ProfilerOptions popts;
@@ -972,7 +972,7 @@ int main(int argc, char** argv) {
     obs::ProvenanceRecorder::Global().Start();
     if (!obs::ProvenanceRecorder::Global().enabled()) {
       std::fprintf(stderr,
-                   "warning: built with KGLINK_ENABLE_PROVENANCE=OFF; "
+                   "warning: built with KGLINK_ENABLE_OBS=OFF; "
                    "--explain will record nothing\n");
     }
   }

@@ -10,7 +10,7 @@
 # tests (the serving path, chaos, obs, robust and linker suites) — TSan's
 # happens-before checking is what certifies the shared read paths
 # race-free. Any other argument is forwarded to cmake configure (e.g.
-# scripts/check.sh -DKGLINK_ENABLE_TRACING=OFF).
+# scripts/check.sh -DKGLINK_ENABLE_OBS=OFF).
 set -eu
 
 cd "$(dirname "$0")/.."

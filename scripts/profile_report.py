@@ -3,15 +3,16 @@
 
 Usage:
     scripts/profile_report.py PROFILE.speedscope.json [BENCH_micro.json]
-        [--bench BM_EncoderForward_64] [--root encoder.forward]
+        [--bench BM_EncoderForward_64] [--root nn.encoder_forward]
         [--tolerance 5] [--json]
 
 Reads the sampling profiler's speedscope JSON (written by
 `KGLINK_PROFILE=prefix bench_micro ...` or `kglink_cli --profile=prefix`),
 rebases every sample at the first occurrence of --root (default
-encoder.forward), and prints an inclusive/exclusive table per frame under
-that root — the per-layer breakdown of one encoder forward pass
-(embedding, per-layer attn.qkv/attn.scores/attn.proj, ffn, layernorm).
+nn.encoder_forward), and prints an inclusive/exclusive table per frame
+under that root — the per-layer breakdown of one encoder forward pass
+(nn.embedding, per-layer nn.attention.qkv/.scores/.proj, nn.ffn,
+nn.layernorm).
 
 Exclusive times sum exactly to the root's inclusive time by construction
 (every sampled microsecond under the root is attributed to exactly one
@@ -110,8 +111,8 @@ def main():
     )
     parser.add_argument(
         "--root",
-        default="encoder.forward",
-        help="frame to rebase the report at (default: encoder.forward)",
+        default="nn.encoder_forward",
+        help="frame to rebase the report at (default: nn.encoder_forward)",
     )
     parser.add_argument(
         "--tolerance",

@@ -9,8 +9,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
-#include "obs/request_telemetry.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "robust/fault_injector.h"
 #include "util/csv.h"
 #include "util/stopwatch.h"
@@ -136,7 +135,7 @@ AnnotateOutcome KgLinkAnnotator::AnnotateTable(const table::Table& t,
   }
 
   {
-    KGLINK_STAGE_TIMER(rc, obs::Stage::kEncode);
+    KGLINK_SCOPE(obs::Stage::kPredict, rc);
     out.status = PredictWithStatus(processed, &out.predictions);
   }
   out.degraded = processed.degraded;
@@ -412,13 +411,13 @@ double KgLinkAnnotator::EvaluatePrepared(
 
 void KgLinkAnnotator::Fit(const table::Corpus& train,
                           const table::Corpus& valid) {
-  KGLINK_TRACE_SPAN("train.fit");
+  KGLINK_SCOPE("core.fit");
   Stopwatch watch;
   label_names_ = train.label_names;
   rng_ = std::make_unique<Rng>(options_.seed);
 
   auto prepare = [&](const table::Corpus& corpus) {
-    KGLINK_TRACE_SPAN("train.prepare");
+    KGLINK_SCOPE("core.fit.prepare");
     std::vector<PreparedTable> out;
     out.reserve(corpus.tables.size());
     for (const auto& lt : corpus.tables) {
@@ -521,7 +520,7 @@ void KgLinkAnnotator::Fit(const table::Corpus& train,
     batch_loss = 0.0;
   };
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    KGLINK_TRACE_SPAN("train.epoch");
+    KGLINK_SCOPE("core.fit.epoch");
     rng_->Shuffle(order);
     epoch_loss = 0.0;
     batch_loss = 0.0;
@@ -549,7 +548,7 @@ void KgLinkAnnotator::Fit(const table::Corpus& train,
                            : epoch_loss / static_cast<double>(
                                               train_prepared.size());
     {
-      KGLINK_TRACE_SPAN("train.validate");
+      KGLINK_SCOPE("core.fit.validate");
       stats.valid_accuracy = EvaluatePrepared(
           valid_prepared.empty() ? train_prepared : valid_prepared);
     }

@@ -4,7 +4,7 @@
 #include <cstdint>
 
 #include "obs/metrics.h"
-#include "obs/request_telemetry.h"
+#include "obs/scope.h"
 
 namespace kglink::linker {
 
@@ -128,7 +128,7 @@ CellLinks EntityLinker::LinkCell(const table::Cell& cell,
   std::vector<search::SearchResult> hits;
   bool cached = false;
   if (cache_ != nullptr && !expired) {
-    KGLINK_STAGE_TIMER(rc, obs::Stage::kCellCache);
+    KGLINK_SCOPE(obs::Stage::kCellCache, rc);
     cached = cache_->Get(cell.text, &hits);
     if (cached) {
       KGLINK_TELEMETRY_COUNT(rc, cache_hits, 1);
@@ -142,7 +142,7 @@ CellLinks EntityLinker::LinkCell(const table::Cell& cell,
     // caching it would poison every later lookup of this cell text.
     if (cache_ != nullptr && !expired &&
         (rc == nullptr || !rc->Expired())) {
-      KGLINK_STAGE_TIMER(rc, obs::Stage::kCellCache);
+      KGLINK_SCOPE(obs::Stage::kCellCache, rc);
       cache_->Put(cell.text, hits);
     }
   }

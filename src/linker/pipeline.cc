@@ -5,10 +5,8 @@
 #include "linker/candidate_types.h"
 #include "linker/feature_sequence.h"
 #include "linker/row_filter.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/request_telemetry.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 
 namespace kglink::linker {
 
@@ -42,10 +40,9 @@ void KgPipeline::Rebind(const kg::KnowledgeGraph* kg,
 
 ProcessedTable KgPipeline::ProcessDegraded(const table::Table& table,
                                            const char* reason) const {
+  // Counted, not logged: under faults or overload most tables can take
+  // this path, and the result's degrade_reason already says why.
   PipelineMetrics::Get().degraded_tables.Add();
-  KGLINK_LOG(kWarn, "pipeline.degraded")
-      .With("table", table.id())
-      .With("reason", reason);
 
   const LinkerConfig& config = linker_.config();
   ProcessedTable out;
@@ -84,10 +81,10 @@ ProcessedTable KgPipeline::Process(const table::Table& table) const {
 
 ProcessedTable KgPipeline::Process(const table::Table& table,
                                    const RequestContext* rc) const {
-  KGLINK_TRACE_SPAN("part1.process");
-  // Inclusive link-stage wall time; TopK and cell-cache time nested below
-  // are accounted separately and subtracted in exclusive_stage_us().
-  KGLINK_STAGE_TIMER(rc, obs::Stage::kLink);
+  // "linker.process": inclusive link-stage wall time; TopK and cell-cache
+  // time nested below are accounted separately and subtracted in
+  // exclusive_stage_us().
+  KGLINK_SCOPE(obs::Stage::kLink, rc);
   PipelineMetrics::Get().tables_processed.Add();
   const LinkerConfig& config = linker_.config();
 
@@ -105,7 +102,7 @@ ProcessedTable KgPipeline::Process(const table::Table& table,
   std::vector<double> row_scores;
   row_scores.reserve(static_cast<size_t>(table.num_rows()));
   {
-    KGLINK_TRACE_SPAN("part1.link_rows");
+    KGLINK_SCOPE("linker.link_rows");
     for (int r = 0; r < table.num_rows(); ++r) {
       all_rows.push_back(linker_.LinkRow(table, r, &ctx));
       if (ctx.degraded()) {
@@ -118,7 +115,7 @@ ProcessedTable KgPipeline::Process(const table::Table& table,
   // Row filter (Eq. 5 ordering or original order).
   ProcessedTable out;
   {
-    KGLINK_TRACE_SPAN("part1.row_filter");
+    KGLINK_SCOPE("linker.filter_rows");
     out.kept_rows = FilterRows(row_scores, config);
     out.filtered = table.SelectRows(out.kept_rows);
     out.row_links.reserve(out.kept_rows.size());
@@ -128,7 +125,7 @@ ProcessedTable KgPipeline::Process(const table::Table& table,
   }
 
   // Step 3 per column: candidate types, feature sequence, numeric stats.
-  KGLINK_TRACE_SPAN("part1.column_features");
+  KGLINK_SCOPE("linker.column_features");
   out.columns.resize(static_cast<size_t>(table.num_cols()));
   for (int c = 0; c < table.num_cols(); ++c) {
     ColumnKgInfo& info = out.columns[static_cast<size_t>(c)];

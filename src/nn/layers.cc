@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/scope.h"
 
 namespace kglink::nn {
 
@@ -51,7 +52,7 @@ LayerNormLayer::LayerNormLayer(int dim, std::string name)
       beta_(Tensor::Zeros({1, dim}, /*requires_grad=*/true)) {}
 
 Tensor LayerNormLayer::Forward(const Tensor& x) const {
-  KGLINK_PROFILE_FRAME("layernorm");
+  KGLINK_SCOPE("nn.layernorm");
   return LayerNorm(x, gamma_, beta_);
 }
 
@@ -74,10 +75,10 @@ MultiHeadAttention::MultiHeadAttention(int dim, int num_heads, Rng& rng,
 }
 
 Tensor MultiHeadAttention::Forward(const Tensor& x) const {
-  KGLINK_PROFILE_FRAME("attn");
+  KGLINK_SCOPE("nn.attention");
   Tensor q, k, v;
   {
-    KGLINK_PROFILE_FRAME("attn.qkv");
+    KGLINK_SCOPE("nn.attention.qkv");
     q = q_.Forward(x);
     k = k_.Forward(x);
     v = v_.Forward(x);
@@ -85,14 +86,14 @@ Tensor MultiHeadAttention::Forward(const Tensor& x) const {
   float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   Tensor ctx;
   {
-    KGLINK_PROFILE_FRAME("attn.scores");
+    KGLINK_SCOPE("nn.attention.scores");
     // One fused op instead of the per-head
     // SliceCols/MatMul/Scale/Softmax/MatMul/ConcatCols chain: same math,
     // ~10x fewer tape nodes. One sequence of L rows is the unpadded case.
     const int len = x.rows();
     ctx = MaskedAttention(q, k, v, num_heads_, scale, {len}, len);
   }
-  KGLINK_PROFILE_FRAME("attn.proj");
+  KGLINK_SCOPE("nn.attention.proj");
   return o_.Forward(ctx);
 }
 
@@ -108,7 +109,7 @@ void MultiHeadAttention::CollectParams(std::vector<NamedParam>* out) const {
 TransformerLayer::TransformerLayer(int dim, int num_heads, int ffn_dim,
                                    float dropout, Rng& rng, std::string name)
     : dropout_(dropout),
-      profile_name_(KGLINK_PROFILE_INTERN(name)),
+      scope_name_(obs::InternFrameName("nn." + name)),
       attn_(dim, num_heads, rng, name + ".attn"),
       ln1_(dim, name + ".ln1"),
       ln2_(dim, name + ".ln2"),
@@ -117,12 +118,12 @@ TransformerLayer::TransformerLayer(int dim, int num_heads, int ffn_dim,
 
 Tensor TransformerLayer::Forward(const Tensor& x, Rng& rng,
                                  bool training) const {
-  KGLINK_PROFILE_FRAME(profile_name_);
+  KGLINK_SCOPE(scope_name_);
   Tensor a = attn_.Forward(ln1_.Forward(x));
   Tensor h = Add(x, Dropout(a, dropout_, rng, training));
   Tensor f;
   {
-    KGLINK_PROFILE_FRAME("ffn");
+    KGLINK_SCOPE("nn.ffn");
     f = ff2_.Forward(Gelu(ff1_.Forward(ln2_.Forward(h))));
   }
   return Add(h, Dropout(f, dropout_, rng, training));
@@ -169,10 +170,10 @@ Tensor TransformerEncoder::Forward(const std::vector<int>& token_ids,
                                    Rng& rng, bool training) const {
   KGLINK_CHECK(!token_ids.empty());
   const int len = TruncatedLen(token_ids.size(), config_.max_seq_len);
-  KGLINK_PROFILE_FRAME("encoder.forward");
+  KGLINK_SCOPE("nn.encoder_forward");
   Tensor h;
   {
-    KGLINK_PROFILE_FRAME("encoder.embedding");
+    KGLINK_SCOPE("nn.embedding");
     h = Add(EmbeddingLookup(tok_emb_, token_ids.data(), len),
             EmbeddingLookup(pos_emb_, pos_ids_.data(), len));
     if (!segment_ids.empty()) {

@@ -80,9 +80,9 @@ class TransformerLayer {
 
  private:
   float dropout_ = 0.0f;
-  // Interned profile-frame name ("enc.layerN"); null for a
-  // default-constructed layer or a profiler-off build.
-  const char* profile_name_ = nullptr;
+  // Interned scope name ("nn.enc.layerN"); scopes need a non-null name,
+  // so a default-constructed layer gets a literal.
+  const char* scope_name_ = "nn.layer";
   MultiHeadAttention attn_;
   LayerNormLayer ln1_, ln2_;
   Linear ff1_, ff2_;

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "obs/profiler.h"
+#include "obs/scope.h"
 
 namespace kglink::nn {
 
@@ -24,7 +24,7 @@ AdamW::AdamW(std::vector<NamedParam> params, AdamWOptions options)
 }
 
 void AdamW::Step(float lr) {
-  KGLINK_PROFILE_FRAME("optim.step");
+  KGLINK_SCOPE("nn.optim.step");
   ++step_;
   float bc1 = 1.0f - std::pow(options_.beta1, static_cast<float>(step_));
   float bc2 = 1.0f - std::pow(options_.beta2, static_cast<float>(step_));
@@ -48,12 +48,12 @@ void AdamW::Step(float lr) {
 }
 
 void AdamW::ZeroGrad() {
-  KGLINK_PROFILE_FRAME("optim.zero_grad");
+  KGLINK_SCOPE("nn.optim.zero_grad");
   for (auto& p : params_) p.tensor.ZeroGrad();
 }
 
 float AdamW::ClipGradNorm(float max_norm) {
-  KGLINK_PROFILE_FRAME("optim.clip_grad_norm");
+  KGLINK_SCOPE("nn.optim.clip_grad_norm");
   double total = 0.0;
   for (auto& p : params_) {
     for (float g : p.tensor.grad()) total += static_cast<double>(g) * g;

@@ -9,7 +9,7 @@
 #include <unordered_set>
 
 #include "nn/gemm.h"
-#include "obs/profiler.h"
+#include "obs/scope.h"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -440,7 +440,7 @@ std::string Tensor::ShapeString() const {
 }
 
 void Tensor::Backward() const {
-  KGLINK_PROFILE_FRAME("backward");
+  KGLINK_SCOPE("nn.backward");
   KGLINK_CHECK(defined());
   KGLINK_CHECK_EQ(numel(), 1) << "Backward() requires a scalar root";
   KGLINK_CHECK(requires_grad());

@@ -22,13 +22,12 @@
 #include "obs/heap_profiler.h"
 #include "obs/json_util.h"
 #include "obs/metrics.h"
+#include "obs/scope.h"
 #include "util/csv.h"
 
 namespace kglink::obs {
 
 namespace profiler_internal {
-
-std::atomic<bool> g_armed{false};
 
 // One per registered thread; owned by the thread, torn down under the
 // registry lock so the sampler can never read a freed stack.
@@ -345,7 +344,7 @@ Status Profiler::Start(const ProfilerOptions& options) {
     // No frames are ever pushed in this build; running a sampler would
     // only produce empty profiles.
     return Status::FailedPrecondition(
-        "profiler compiled out (KGLINK_ENABLE_PROFILER=OFF)");
+        "profiler compiled out (KGLINK_ENABLE_OBS=OFF)");
   }
   if (options.hz <= 0 || options.hz > 100000) {
     return Status::InvalidArgument("profiler hz out of range: " +
@@ -370,7 +369,8 @@ Status Profiler::Start(const ProfilerOptions& options) {
   im.stop_requested = false;
   im.running = true;
   im.sampler = std::thread([this] { SamplerLoop(); });
-  profiler_internal::g_armed.store(true, std::memory_order_release);
+  scope_internal::g_armed.fetch_or(scope_internal::kProfileArmed,
+                                   std::memory_order_release);
   return Status::Ok();
 }
 
@@ -380,7 +380,8 @@ void Profiler::Stop() {
   {
     std::lock_guard<std::mutex> lock(im.mu);
     if (!im.running) return;
-    profiler_internal::g_armed.store(false, std::memory_order_release);
+    scope_internal::g_armed.fetch_and(~scope_internal::kProfileArmed,
+                                      std::memory_order_release);
     im.stop_requested = true;
     joiner = std::move(im.sampler);
     im.running = false;

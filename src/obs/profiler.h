@@ -1,21 +1,21 @@
 // In-process wall-clock sampling profiler.
 //
-// Frame model: instrumented scopes push an interned, immutable
-// `const char*` name onto a per-thread fixed-depth stack (ProfileFrame /
-// KGLINK_PROFILE_FRAME). A background sampler thread walks every
-// registered thread's stack at a configurable rate and folds each
-// observation into a ring of (thread, interned-stack-id) samples. The
-// exporter merges the ring into collapsed-stack text (flamegraph.pl
-// input: "a;b;c <count>") and speedscope-compatible JSON.
+// Frame model: while the profiler is armed, every obs::Scope
+// (KGLINK_SCOPE, obs/scope.h) pushes its interned, immutable `const char*`
+// name onto a per-thread fixed-depth stack. A background sampler thread
+// walks every registered thread's stack at a configurable rate and folds
+// each observation into a ring of (thread, interned-stack-id) samples. The
+// exporter merges the ring into collapsed-stack text (flamegraph.pl input:
+// "a;b;c <count>") and speedscope-compatible JSON.
 //
 // Overhead contract:
-//   - profiler idle (not started): one relaxed atomic load + branch per
-//     frame — the same null-cost discipline as TraceRecorder arming.
+//   - profiler idle (not started): the scope's one relaxed load of the
+//     shared armed bitmask + branch.
 //   - profiler armed: push = one pointer store + one release store of
 //     the depth; pop = one release store. No locks, no allocation on
 //     the mutator path (first frame on a new thread registers it once).
-//   - compiled out (-DKGLINK_ENABLE_PROFILER=OFF): ProfileFrame is an
-//     empty type and KGLINK_PROFILE_FRAME expands to nothing.
+//   - compiled out (-DKGLINK_ENABLE_OBS=OFF): KGLINK_SCOPE expands to
+//     nothing and Profiler::Start refuses.
 //
 // Thread safety: the per-thread stack slots and depth are atomics
 // (release on publish, acquire on the sampler's read), so the sampler
@@ -25,7 +25,6 @@
 #ifndef KGLINK_OBS_PROFILER_H_
 #define KGLINK_OBS_PROFILER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -35,7 +34,7 @@
 
 namespace kglink::obs {
 
-#if defined(KGLINK_PROFILER_ENABLED)
+#if defined(KGLINK_OBS_ENABLED)
 inline constexpr bool kProfilerCompiledIn = true;
 #else
 inline constexpr bool kProfilerCompiledIn = false;
@@ -46,15 +45,12 @@ inline constexpr bool kProfilerCompiledIn = false;
 inline constexpr uint32_t kMaxProfileDepth = 32;
 
 // Interns `name` into a process-lifetime pool and returns a stable
-// pointer. Use for dynamically built frame names ("enc.layer3"); string
-// literals can be pushed directly. Takes a lock — call at construction
+// pointer. Use for dynamically built scope names ("nn.enc.layer3"); string
+// literals can be used directly. Takes a lock — call at construction
 // time, not per forward pass.
 const char* InternFrameName(std::string_view name);
 
 namespace profiler_internal {
-
-// True while the sampler is running; the ProfileFrame fast path.
-extern std::atomic<bool> g_armed;
 
 // Pushes `name` onto the calling thread's stack (registering the thread
 // on first use). Returns false if the thread is tearing down.
@@ -69,57 +65,6 @@ void PopFrame();
 uint32_t CaptureOwnStack(const char** buf);
 
 }  // namespace profiler_internal
-
-inline bool ProfilerArmed() {
-  return profiler_internal::g_armed.load(std::memory_order_relaxed);
-}
-
-#if defined(KGLINK_PROFILER_ENABLED)
-// RAII profile frame. A null name, an unarmed profiler, or an exhausted
-// registration slot all degrade to a no-op frame.
-class ProfileFrame {
- public:
-  explicit ProfileFrame(const char* name) {
-    if (name != nullptr && ProfilerArmed()) {
-      pushed_ = profiler_internal::PushFrame(name);
-    }
-  }
-  ~ProfileFrame() {
-    if (pushed_) profiler_internal::PopFrame();
-  }
-  ProfileFrame(const ProfileFrame&) = delete;
-  ProfileFrame& operator=(const ProfileFrame&) = delete;
-
- private:
-  bool pushed_ = false;
-};
-#else
-// Compiled out: an empty type so enclosing objects ([[no_unique_address]]
-// members) and scopes pay nothing.
-class ProfileFrame {
- public:
-  explicit ProfileFrame(const char*) {}
-  ProfileFrame(const ProfileFrame&) = delete;
-  ProfileFrame& operator=(const ProfileFrame&) = delete;
-};
-#endif
-
-#define KGLINK_PROFILE_CONCAT2_(a, b) a##b
-#define KGLINK_PROFILE_CONCAT_(a, b) KGLINK_PROFILE_CONCAT2_(a, b)
-
-#if defined(KGLINK_PROFILER_ENABLED)
-// Opens a profile frame for the rest of the enclosing scope. `name` must
-// be a string literal or an InternFrameName result (any pointer that
-// outlives the profiler's sample buffer).
-#define KGLINK_PROFILE_FRAME(name)                                 \
-  ::kglink::obs::ProfileFrame KGLINK_PROFILE_CONCAT_(kglink_pframe_, \
-                                                     __LINE__)(name)
-// Interns a dynamic frame name at construction time.
-#define KGLINK_PROFILE_INTERN(name) ::kglink::obs::InternFrameName(name)
-#else
-#define KGLINK_PROFILE_FRAME(name) ((void)0)
-#define KGLINK_PROFILE_INTERN(name) nullptr
-#endif
 
 struct ProfilerOptions {
   // Sampling rate. Prime by default so the sampler does not phase-lock

@@ -11,7 +11,7 @@ ProvenanceRecorder& ProvenanceRecorder::Global() {
 }
 
 void ProvenanceRecorder::Start() {
-#if defined(KGLINK_PROVENANCE_ENABLED)
+#if defined(KGLINK_OBS_ENABLED)
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
   enabled_.store(true, std::memory_order_relaxed);

@@ -7,12 +7,12 @@
 // export (`kglink_cli --explain=DIR`) and aggregation
 // (eval::BuildExplainReport).
 //
-// Mirrors TraceRecorder's two gates:
+// Two gates, like KGLINK_SCOPE's (obs/scope.h):
 //   * runtime: records are captured only between Start() and Stop(); the
 //     disarmed check is one relaxed atomic load, and the expensive record
 //     assembly sits behind `if (recorder.enabled())` at every call-site;
-//   * compile time: building with KGLINK_ENABLE_PROVENANCE=OFF (no
-//     KGLINK_PROVENANCE_ENABLED define) folds enabled() to a constant
+//   * compile time: building with -DKGLINK_ENABLE_OBS=OFF (no
+//     KGLINK_OBS_ENABLED define) folds enabled() to a constant
 //     false, so call-site branches — and the record assembly behind them —
 //     dead-strip entirely.
 //
@@ -46,11 +46,11 @@ class ProvenanceRecorder {
   static ProvenanceRecorder& Global();
 
   // Clears previously captured records and arms recording. A no-op in
-  // provenance-disabled builds (the recorder can never arm there).
+  // obs-disabled builds (the recorder can never arm there).
   void Start();
   void Stop() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const {
-#if defined(KGLINK_PROVENANCE_ENABLED)
+#if defined(KGLINK_OBS_ENABLED)
     return enabled_.load(std::memory_order_relaxed);
 #else
     return false;

@@ -5,7 +5,8 @@ namespace kglink::obs {
 namespace {
 
 constexpr const char* kStageNames[kNumTelemetryStages] = {
-    "queue_wait", "link", "topk", "cell_cache", "encode", "post_process",
+    "serve.queue_wait",  "linker.process", "search.topk",
+    "search.cell_cache", "core.predict",   "serve.post_process",
 };
 
 }  // namespace

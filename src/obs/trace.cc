@@ -1,16 +1,10 @@
 #include "obs/trace.h"
 
-#include <cstdlib>
-
 #include "obs/json_util.h"
-#include "obs/profiler.h"
+#include "obs/scope.h"
 #include "util/csv.h"
 
 namespace kglink::obs {
-
-namespace {
-thread_local int g_span_depth = 0;
-}  // namespace
 
 TraceRecorder& TraceRecorder::Global() {
   static TraceRecorder& recorder = *new TraceRecorder();
@@ -21,15 +15,22 @@ void TraceRecorder::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
   origin_ = std::chrono::steady_clock::now();
-  enabled_.store(true, std::memory_order_relaxed);
+  scope_internal::g_armed.fetch_or(scope_internal::kTraceArmed,
+                                   std::memory_order_release);
 }
 
-void TraceRecorder::Record(std::string_view name, char phase, int depth) {
-  int64_t ts = std::chrono::duration_cast<std::chrono::microseconds>(
-                   std::chrono::steady_clock::now() - origin_)
-                   .count();
+void TraceRecorder::Stop() {
+  scope_internal::g_armed.fetch_and(~scope_internal::kTraceArmed,
+                                    std::memory_order_release);
+}
+
+void TraceRecorder::Record(const char* name, char phase, int depth) {
+  auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(TraceEvent{std::string(name), phase, ts, depth});
+  int64_t ts =
+      std::chrono::duration_cast<std::chrono::microseconds>(now - origin_)
+          .count();
+  events_.push_back(TraceEvent{name, phase, ts, depth});
 }
 
 size_t TraceRecorder::event_count() const {
@@ -62,46 +63,6 @@ std::string TraceRecorder::ExportChromeJson() const {
 
 Status TraceRecorder::WriteChromeJson(const std::string& path) const {
   return WriteFile(path, ExportChromeJson());
-}
-
-ScopedSpan::ScopedSpan(std::string_view name) {
-#if defined(KGLINK_PROFILER_ENABLED)
-  if (ProfilerArmed()) {
-    profile_pushed_ = profiler_internal::PushFrame(InternFrameName(name));
-  }
-#endif
-  TraceRecorder& recorder = TraceRecorder::Global();
-  if (!recorder.enabled()) return;
-  active_ = true;
-  name_ = name;
-  depth_ = g_span_depth++;
-  recorder.Record(name_, 'B', depth_);
-}
-
-ScopedSpan::~ScopedSpan() {
-#if defined(KGLINK_PROFILER_ENABLED)
-  if (profile_pushed_) profiler_internal::PopFrame();
-#endif
-  if (!active_) return;
-  --g_span_depth;
-  // Record the end even if Stop() raced in between, so every 'B' has a
-  // matching 'E' and the exported trace stays balanced.
-  TraceRecorder::Global().Record(name_, 'E', depth_);
-}
-
-int ScopedSpan::CurrentDepth() { return g_span_depth; }
-
-uint32_t SampleMaskFromEnv(uint32_t default_shift) {
-  uint32_t shift = default_shift;
-  if (const char* env = std::getenv("KGLINK_OBS_SAMPLE_SHIFT")) {
-    char* end = nullptr;
-    long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 0) {
-      shift = static_cast<uint32_t>(parsed);
-    }
-  }
-  if (shift > 20) shift = 20;  // 1-in-1M: plenty, and no UB territory
-  return (1u << shift) - 1u;
 }
 
 }  // namespace kglink::obs

@@ -1,48 +1,32 @@
-// Scoped tracing with Chrome trace_event JSON export. A ScopedSpan records
-// a begin event at construction and an end event at destruction; nesting is
-// tracked per thread so tools (and tests) can reconstruct the span tree.
-// The exported file loads directly in chrome://tracing or Perfetto.
-//
-// Two gates keep the zero-overhead path zero:
-//   * runtime: events are recorded only while TraceRecorder::Global() is
-//     started (one relaxed atomic load otherwise);
-//   * compile time: building with KGLINK_ENABLE_TRACING=OFF (i.e. without
-//     the KGLINK_TRACE_ENABLED define) expands KGLINK_TRACE_SPAN,
-//     KGLINK_OBS_TIMER and KGLINK_OBS_HOT to nothing, so instrumented hot
-//     loops carry no clock reads — or even atomic increments — at all.
-//
-// KGLINK_OBS_HOT wraps metric updates on nanosecond-scale paths (e.g.
-// SearchEngine::TopK, ~400 ns/call, where even a relaxed fetch_add is a
-// measurable fraction). Cool-path metrics (per-table, per-epoch) call
-// Counter/Gauge directly and stay available in every build.
+// Chrome trace_event JSON export for obs::Scope (obs/scope.h). While the
+// recorder is armed, every KGLINK_SCOPE records a begin event at entry and
+// an end event at exit; nesting is tracked per thread so tools (and tests)
+// can reconstruct the span tree. The exported file loads directly in
+// chrome://tracing or Perfetto.
 #ifndef KGLINK_OBS_TRACE_H_
 #define KGLINK_OBS_TRACE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace kglink::obs {
 
 struct TraceEvent {
-  std::string name;
-  char phase;     // 'B' (begin) or 'E' (end)
-  int64_t ts_us;  // microseconds since TraceRecorder::Start()
-  int depth;      // span nesting depth at the event (0 = top level)
+  const char* name;  // the scope's name (a literal or an interned name)
+  char phase;        // 'B' (begin) or 'E' (end)
+  int64_t ts_us;     // microseconds since TraceRecorder::Start()
+  int depth;         // span nesting depth at the event (0 = top level)
 };
 
-// Process-wide event buffer. Start() arms recording; Stop() disarms it;
+// The process-wide event buffer. Start() arms recording; Stop() disarms it;
 // ExportChromeJson() serializes whatever was captured.
 class TraceRecorder {
  public:
-  TraceRecorder() = default;
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
@@ -51,10 +35,10 @@ class TraceRecorder {
   // Clears previously captured events and begins recording; timestamps are
   // relative to this call.
   void Start();
-  void Stop() { enabled_.store(false, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void Stop();
 
-  void Record(std::string_view name, char phase, int depth);
+  // `name` must outlive the recorder's events (see obs/scope.h).
+  void Record(const char* name, char phase, int depth);
 
   size_t event_count() const;
   std::vector<TraceEvent> Events() const;
@@ -65,117 +49,13 @@ class TraceRecorder {
   Status WriteChromeJson(const std::string& path) const;
 
  private:
-  std::atomic<bool> enabled_{false};
+  TraceRecorder() = default;
+
   mutable std::mutex mu_;
   std::vector<TraceEvent> events_;
   std::chrono::steady_clock::time_point origin_{};
 };
 
-// RAII span. Records nothing when the recorder is disarmed. Use via the
-// KGLINK_TRACE_SPAN macro so the span compiles out entirely in
-// tracing-disabled builds.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string_view name);
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  // Nesting depth of this span (0 = outermost). Meaningful only when the
-  // span is active (recorder armed at construction).
-  int depth() const { return depth_; }
-
-  // Current thread's live span count.
-  static int CurrentDepth();
-
- private:
-  std::string name_;
-  int depth_ = 0;
-  bool active_ = false;
-  // While the sampling profiler is armed, the span's name is also pushed
-  // as a profile frame (interned on first use); see obs/profiler.h.
-  bool profile_pushed_ = false;
-};
-
-// Sampling mask for SampledLatencyTimer: (1 << shift) - 1, so one in every
-// 2^shift calls is timed. The shift comes from the KGLINK_OBS_SAMPLE_SHIFT
-// environment variable when set (clamped to [0, 20]; 0 times every call),
-// else `default_shift`. Read the environment once at the call site (static
-// init) and pair the metric with a *.sample_interval gauge so dashboards
-// can rescale sampled counts.
-uint32_t SampleMaskFromEnv(uint32_t default_shift);
-
-// Like ScopedLatencyTimer, but only every Nth construction per thread
-// actually reads the clock and records — for paths so hot (hundreds of
-// nanoseconds) that two steady_clock reads per call would dominate the
-// operation being measured. The first call on each thread is always
-// sampled, so short tests still see a non-empty histogram. The histogram's
-// count becomes "samples taken", not "calls made"; pair it with an exact
-// calls counter. Use via KGLINK_OBS_TIMER_SAMPLED.
-class SampledLatencyTimer {
- public:
-  // mask must be 2^n - 1; one in every 2^n calls is timed.
-  SampledLatencyTimer(Histogram& histogram, uint32_t mask)
-      : histogram_(histogram) {
-    thread_local uint32_t tick = 0;
-    armed_ = (tick++ & mask) == 0;
-    if (armed_) start_ = std::chrono::steady_clock::now();
-  }
-  ~SampledLatencyTimer() {
-    if (armed_) {
-      histogram_.Record(std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - start_)
-                            .count());
-    }
-  }
-  SampledLatencyTimer(const SampledLatencyTimer&) = delete;
-  SampledLatencyTimer& operator=(const SampledLatencyTimer&) = delete;
-
- private:
-  Histogram& histogram_;
-  std::chrono::steady_clock::time_point start_{};
-  bool armed_ = false;
-};
-
-// Records elapsed wall time (microseconds) into a latency histogram on
-// destruction. Use via KGLINK_OBS_TIMER so disabled builds skip the clock.
-class ScopedLatencyTimer {
- public:
-  explicit ScopedLatencyTimer(Histogram& histogram)
-      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedLatencyTimer() {
-    histogram_.Record(std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count());
-  }
-  ScopedLatencyTimer(const ScopedLatencyTimer&) = delete;
-  ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
-
- private:
-  Histogram& histogram_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 }  // namespace kglink::obs
-
-#define KGLINK_OBS_CONCAT_IMPL_(a, b) a##b
-#define KGLINK_OBS_CONCAT_(a, b) KGLINK_OBS_CONCAT_IMPL_(a, b)
-
-#if defined(KGLINK_TRACE_ENABLED)
-#define KGLINK_TRACE_SPAN(name) \
-  ::kglink::obs::ScopedSpan KGLINK_OBS_CONCAT_(kglink_span_, __LINE__)(name)
-#define KGLINK_OBS_TIMER(histogram)                                     \
-  ::kglink::obs::ScopedLatencyTimer KGLINK_OBS_CONCAT_(kglink_timer_,   \
-                                                       __LINE__)(histogram)
-#define KGLINK_OBS_TIMER_SAMPLED(histogram, mask)                       \
-  ::kglink::obs::SampledLatencyTimer KGLINK_OBS_CONCAT_(                \
-      kglink_timer_, __LINE__)(histogram, (mask))
-#define KGLINK_OBS_HOT(...) __VA_ARGS__
-#else
-#define KGLINK_TRACE_SPAN(name) ((void)0)
-#define KGLINK_OBS_TIMER(histogram) ((void)0)
-#define KGLINK_OBS_TIMER_SAMPLED(histogram, mask) ((void)0)
-#define KGLINK_OBS_HOT(...) ((void)0)
-#endif
 
 #endif  // KGLINK_OBS_TRACE_H_

@@ -6,45 +6,33 @@
 #include <thread>
 
 #include "obs/metrics.h"
-#include "obs/request_telemetry.h"
-#include "obs/trace.h"
+#include "obs/scope.h"
 #include "util/string_util.h"
 
 namespace kglink::search {
 
 namespace {
 
-#if defined(KGLINK_TRACE_ENABLED)
+#if defined(KGLINK_OBS_ENABLED)
 // Resolved once; afterwards updates are relaxed atomics on the hot path.
-// TopK runs in ~hundreds of nanoseconds, so even these are gated behind
-// KGLINK_OBS_HOT and vanish in tracing-disabled builds.
+// A short TopK query runs in under a microsecond, so even these are gated
+// behind KGLINK_OBS_HOT and vanish in obs-disabled builds.
 struct TopKMetrics {
   obs::Counter& calls;
   obs::Counter& docs_scanned;
   obs::Counter& candidates;
-  obs::Histogram& latency_us;
-  // Timer sampling mask, resolved once from KGLINK_OBS_SAMPLE_SHIFT
-  // (default 1 in 64). The interval is published as a gauge next to the
-  // histogram so consumers can rescale the sampled counts.
-  uint32_t sample_mask;
 
   static TopKMetrics& Get() {
     static TopKMetrics& m = *[] {
       auto& reg = obs::MetricsRegistry::Global();
-      auto* metrics = new TopKMetrics{
-          reg.GetCounter("search.topk.calls"),
-          reg.GetCounter("search.topk.docs_scanned"),
-          reg.GetCounter("search.topk.candidates"),
-          reg.GetHistogram("search.topk.latency_us"),
-          obs::SampleMaskFromEnv(/*default_shift=*/6)};
-      reg.GetGauge("search.topk.latency_us.sample_interval")
-          .Set(static_cast<double>(metrics->sample_mask) + 1.0);
-      return metrics;
+      return new TopKMetrics{reg.GetCounter("search.topk.calls"),
+                             reg.GetCounter("search.topk.docs_scanned"),
+                             reg.GetCounter("search.topk.candidates")};
     }();
     return m;
   }
 };
-#endif  // KGLINK_TRACE_ENABLED
+#endif  // KGLINK_OBS_ENABLED
 
 // Thread-local dense score accumulator for TopK. The score slot for a
 // document is valid only when its stamp equals the current query's stamp,
@@ -330,15 +318,8 @@ std::vector<SearchResult> SearchEngine::TopK(std::string_view query, int k,
                                              const RequestContext* rc) const {
   KGLINK_CHECK(finalized_) << "query before Finalize";
   KGLINK_OBS_HOT(TopKMetrics::Get().calls.Add());
-  // TopK runs in a few hundred nanoseconds; timing every call would spend
-  // more in steady_clock reads than in scoring. Sample 1 in 2^shift per
-  // thread (KGLINK_OBS_SAMPLE_SHIFT, default 64; the calls counter above
-  // stays exact and *.sample_interval records the rate).
-  KGLINK_OBS_TIMER_SAMPLED(TopKMetrics::Get().latency_us,
-                           TopKMetrics::Get().sample_mask);
-  // Per-request stage accounting is exact (not sampled): a request that
-  // carries telemetry has opted into the two clock reads.
-  KGLINK_STAGE_TIMER(rc, obs::Stage::kTopK);
+  // "search.topk": clock reads only for a request that carries telemetry.
+  KGLINK_SCOPE(obs::Stage::kTopK, rc);
   if (k <= 0 || num_docs_ == 0) return {};
   bool bounded = rc != nullptr && !rc->Unbounded();
   if (bounded && rc->Expired()) return {};

@@ -184,9 +184,6 @@ AnnotationResult AnnotationService::RunShedInline(const table::Table& table,
                             static_cast<uint64_t>(result.work_us));
   ServeMetrics::Get().latency_us.Record(
       static_cast<double>(result.work_us));
-  KGLINK_LOG(kWarn, "serve.shed")
-      .With("table", table.id())
-      .With("stream_key", static_cast<int64_t>(rc.stream_key));
   ObserveCompletion(table, rc, result);
   return result;
 }
@@ -311,13 +308,13 @@ AnnotationResult AnnotationService::RunRequest(Request& req,
       static_cast<double>(result.queue_us + result.work_us));
 
   // Post-process remainder: work time not already attributed to the link
-  // (inclusive of its nested stages) or encode intervals. Those are
+  // (inclusive of its nested stages) or predict intervals. Those are
   // disjoint sub-intervals of the work interval on the same monotonic
   // clock, and a sum of floored microsecond spans never exceeds the
   // floored total — so exclusive stage sums stay <= queue_us + work_us.
   uint64_t attributed =
       result.telemetry.stage_micros(obs::Stage::kLink) +
-      result.telemetry.stage_micros(obs::Stage::kEncode);
+      result.telemetry.stage_micros(obs::Stage::kPredict);
   uint64_t uwork_us = static_cast<uint64_t>(result.work_us);
   if (uwork_us > attributed) {
     result.telemetry.AddStage(obs::Stage::kPostProcess,

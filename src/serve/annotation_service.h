@@ -114,9 +114,10 @@ struct AnnotationResult {
   int64_t queue_us = 0;        // time spent waiting for a worker
   int64_t work_us = 0;         // time spent annotating
   // Per-stage accounting for this request. The service always fills queue
-  // wait and the post-process remainder; the library stages (link, topk,
-  // cell_cache, encode) stay zero when the build disables request
-  // telemetry (KGLINK_ENABLE_REQUEST_TELEMETRY=OFF).
+  // wait and the post-process remainder; the library stages
+  // (linker.process, search.topk, search.cell_cache, core.predict) stay
+  // zero when the build compiles instrumentation out
+  // (KGLINK_ENABLE_OBS=OFF).
   obs::RequestTelemetry telemetry;
 
   int64_t total_us() const { return queue_us + work_us; }

@@ -1,12 +1,15 @@
 // Unit tests for the observability layer: histogram bucket boundaries,
-// counter overflow/reset semantics, nested-span parenting, Chrome trace
-// JSON structure (timestamps excluded from comparisons — they are the one
+// counter overflow/reset semantics, nested-scope parenting, one scope
+// feeding the trace, the profiler and request telemetry, Chrome trace JSON
+// structure (timestamps excluded from comparisons — they are the one
 // nondeterministic field), and the structured logger's line format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -15,6 +18,8 @@
 #include "obs/json_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
+#include "obs/scope.h"
 #include "obs/trace.h"
 
 namespace kglink::obs {
@@ -282,8 +287,6 @@ TEST(JsonParseTest, RoundTripsEscapedStrings) {
   EXPECT_EQ(v->StringOr("cell", ""), nasty);
 }
 
-#if defined(KGLINK_TRACE_ENABLED)
-
 // Validates balanced, properly nested B/E events with a stack; returns the
 // maximum nesting depth or -1 on imbalance. Timestamps are ignored.
 int CheckBalanced(const std::vector<TraceEvent>& events) {
@@ -295,7 +298,7 @@ int CheckBalanced(const std::vector<TraceEvent>& events) {
       stack.push_back(&e);
       max_depth = std::max(max_depth, stack.size());
     } else if (e.phase == 'E') {
-      if (stack.empty() || stack.back()->name != e.name ||
+      if (stack.empty() || std::strcmp(stack.back()->name, e.name) != 0 ||
           stack.back()->depth != e.depth) {
         return -1;
       }
@@ -307,26 +310,26 @@ int CheckBalanced(const std::vector<TraceEvent>& events) {
   return stack.empty() ? static_cast<int>(max_depth) : -1;
 }
 
-TEST(TraceTest, NestedSpanParenting) {
+TEST(ScopeTest, NestedScopeParenting) {
   TraceRecorder& rec = TraceRecorder::Global();
   rec.Start();
   {
-    ScopedSpan outer("outer");
+    Scope outer("outer");
     EXPECT_EQ(outer.depth(), 0);
-    EXPECT_EQ(ScopedSpan::CurrentDepth(), 1);
+    EXPECT_EQ(Scope::CurrentDepth(), 1);
     {
-      ScopedSpan inner("inner");
+      Scope inner("inner");
       EXPECT_EQ(inner.depth(), 1);
-      ScopedSpan innermost("innermost");
+      Scope innermost("innermost");
       EXPECT_EQ(innermost.depth(), 2);
     }
-    ScopedSpan sibling("sibling");
+    Scope sibling("sibling");
     EXPECT_EQ(sibling.depth(), 1);
   }
   rec.Stop();
 
   std::vector<TraceEvent> events = rec.Events();
-  ASSERT_EQ(events.size(), 8u);  // 4 spans x (B + E)
+  ASSERT_EQ(events.size(), 8u);  // 4 scopes x (B + E)
   EXPECT_EQ(CheckBalanced(events), 3);
   // Sequential order pins the parenting: outer B, inner B, innermost B/E,
   // inner E, sibling B/E, outer E.
@@ -343,15 +346,57 @@ TEST(TraceTest, NestedSpanParenting) {
             (std::vector<char>{'B', 'B', 'B', 'E', 'E', 'B', 'E', 'E'}));
 }
 
-TEST(TraceTest, DisabledRecorderRecordsNothing) {
+TEST(ScopeTest, DisarmedScopeRecordsNothing) {
   TraceRecorder& rec = TraceRecorder::Global();
   rec.Start();
   rec.Stop();
   {
-    ScopedSpan span("ignored");
-    EXPECT_EQ(ScopedSpan::CurrentDepth(), 0);  // inactive span: no depth
+    Scope scope("ignored");
+    EXPECT_EQ(Scope::CurrentDepth(), 0);  // inactive scope: no depth
   }
   EXPECT_EQ(rec.event_count(), 0u);
+}
+
+// The stage form feeds all three sinks under StageName(stage): one
+// balanced B/E pair, profile samples under that frame, and one telemetry
+// stage call.
+TEST(ScopeTest, StageScopeFeedsTraceProfileAndTelemetry) {
+  if (!kProfilerCompiledIn) GTEST_SKIP() << "profiler compiled out";
+  RequestTelemetry telemetry;
+  RequestContext rc;
+  rc.telemetry = &telemetry;
+  TraceRecorder& rec = TraceRecorder::Global();
+  Profiler& profiler = Profiler::Global();
+  rec.Start();
+  ASSERT_TRUE(profiler.Start({.hz = 2000}).ok());
+  {
+    Scope scope(Stage::kLink, &rc);
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (profiler.samples() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  profiler.Stop();
+  rec.Stop();
+
+  std::vector<TraceEvent> events = rec.Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_STREQ(events[0].name, "linker.process");
+  EXPECT_EQ(events[0].phase, 'B');
+  EXPECT_EQ(events[1].phase, 'E');
+  EXPECT_EQ(CheckBalanced(events), 1);
+
+  uint64_t under_frame = 0;
+  for (const StackSample& s : profiler.MergedSamples()) {
+    if (!s.frames.empty() && std::strcmp(s.frames[0], "linker.process") == 0) {
+      under_frame += s.count;
+    }
+  }
+  EXPECT_GE(under_frame, 1u);
+
+  EXPECT_EQ(telemetry.stage_count(Stage::kLink), 1u);
+  EXPECT_EQ(Scope::CurrentDepth(), 0);
 }
 
 // Golden-structure test for the exporter: the JSON parses, contains one
@@ -361,8 +406,8 @@ TEST(TraceTest, ChromeJsonExportGolden) {
   TraceRecorder& rec = TraceRecorder::Global();
   rec.Start();
   {
-    ScopedSpan outer("stage \"one\"");  // quote needs escaping
-    ScopedSpan inner("stage.two");
+    Scope outer("stage \"one\"");  // quote needs escaping
+    Scope inner("stage.two");
   }
   rec.Stop();
   std::string json = rec.ExportChromeJson();
@@ -383,17 +428,6 @@ TEST(TraceTest, ChromeJsonExportGolden) {
   rec.Stop();
   EXPECT_EQ(rec.event_count(), 0u);
 }
-
-TEST(TraceTest, TimerRecordsIntoHistogram) {
-  Histogram h(HistogramBuckets::LatencyMicros());
-  {
-    KGLINK_OBS_TIMER(h);
-  }
-  EXPECT_EQ(h.count(), 1);
-  EXPECT_GE(h.sum(), 0.0);
-}
-
-#endif  // KGLINK_TRACE_ENABLED
 
 class LogTest : public ::testing::Test {
  protected:

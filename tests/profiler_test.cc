@@ -17,13 +17,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "nn/layers.h"
 #include "nn/tensor.h"
 #include "obs/heap_profiler.h"
 #include "obs/json_util.h"
+#include "obs/scope.h"
 #include "util/rng.h"
 
 namespace kglink::obs {
@@ -96,13 +96,9 @@ TEST(InternTest, SameContentSamePointer) {
   EXPECT_NE(a, InternFrameName("enc.layer1"));
 }
 
-#if !defined(KGLINK_PROFILER_ENABLED)
+#if !defined(KGLINK_OBS_ENABLED)
 
-// Compiled out: frames are empty types and nothing ever samples.
-static_assert(std::is_empty_v<ProfileFrame>,
-              "ProfileFrame must be zero-size when the profiler is "
-              "compiled out");
-
+// Compiled out: no scope ever pushes a frame and nothing ever samples.
 TEST(ProfilerDisabledTest, StartRefusesAndStatusSaysSo) {
   EXPECT_FALSE(kProfilerCompiledIn);
   Profiler& p = Profiler::Global();
@@ -116,7 +112,7 @@ TEST(ProfilerDisabledTest, StartRefusesAndStatusSaysSo) {
   EXPECT_FALSE(doc->BoolOr("compiled_in", true));
 }
 
-#else  // KGLINK_PROFILER_ENABLED
+#else  // KGLINK_OBS_ENABLED
 
 // ----- live sampling ----------------------------------------------------
 
@@ -127,7 +123,7 @@ void HoldFrames(const std::vector<const char*>& frames,
     while (!stop.load()) std::this_thread::yield();
     return;
   }
-  KGLINK_PROFILE_FRAME(frames[0]);
+  KGLINK_SCOPE(frames[0]);
   HoldFrames({frames.begin() + 1, frames.end()}, stop);
 }
 
@@ -200,7 +196,7 @@ TEST(ProfilerLiveTest, RestartClearsPreviousSamples) {
   Profiler& p = Profiler::Global();
   ASSERT_TRUE(p.Start({.hz = 2000}).ok());
   {
-    KGLINK_PROFILE_FRAME("restart_marker");
+    KGLINK_SCOPE("restart_marker");
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::seconds(10);
     while (p.samples() == 0 &&
@@ -245,9 +241,9 @@ TEST(ProfilerConcurrencyTest, PushPopRacesSamplerCleanly) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&stop] {
       while (!stop.load(std::memory_order_relaxed)) {
-        KGLINK_PROFILE_FRAME("churn_outer");
+        KGLINK_SCOPE("churn_outer");
         for (int i = 0; i < 64; ++i) {
-          KGLINK_PROFILE_FRAME("churn_inner");
+          KGLINK_SCOPE("churn_inner");
         }
       }
     });
@@ -285,7 +281,7 @@ TEST(ProfilerLiveTest, DeepStacksTruncateAtMaxDepth) {
   p.Stop();
 }
 
-#endif  // KGLINK_PROFILER_ENABLED
+#endif  // KGLINK_OBS_ENABLED
 
 // ----- heap attribution -------------------------------------------------
 
@@ -305,7 +301,7 @@ TEST(HeapProfilerTest, DeterministicCountsWithExactSampling) {
   // attribution needs a running sampler (the CLI pairs --heap-profile
   // with --profile for the same reason).
   if (!kProfilerCompiledIn) {
-    GTEST_SKIP() << "needs KGLINK_ENABLE_PROFILER=ON for frame stacks";
+    GTEST_SKIP() << "needs KGLINK_ENABLE_OBS=ON for frame stacks";
   }
   ASSERT_TRUE(Profiler::Global().Start({.hz = 10}).ok());
   HeapProfiler& hp = HeapProfiler::Global();
@@ -318,7 +314,7 @@ TEST(HeapProfilerTest, DeterministicCountsWithExactSampling) {
   constexpr int kAllocs = 100;
   constexpr size_t kBytes = 1024;
   {
-    KGLINK_PROFILE_FRAME("heap_test_site");
+    KGLINK_SCOPE("heap_test_site");
     std::vector<char*> blocks;
     blocks.reserve(kAllocs);
     for (int i = 0; i < kAllocs; ++i) blocks.push_back(new char[kBytes]);

@@ -41,7 +41,7 @@ TEST(ProvenanceRecorderTest, GoldContextJoinsByTableAndColumn) {
   EXPECT_EQ(rec.GoldFor("t1", 0), obs::kProvenanceNoGold);
 }
 
-#if defined(KGLINK_PROVENANCE_ENABLED)
+#if defined(KGLINK_OBS_ENABLED)
 
 TEST(ProvenanceRecorderTest, BuffersOnlyWhileArmed) {
   ProvenanceRecorder rec;
@@ -249,7 +249,7 @@ TEST_F(ProvenanceE2eTest, DisarmedRecorderAddsNoRecords) {
   EXPECT_EQ(rec.record_count(), 0u);
 }
 
-#else  // !KGLINK_PROVENANCE_ENABLED
+#else  // !KGLINK_OBS_ENABLED
 
 TEST(ProvenanceDisabledTest, StartCannotArm) {
   ProvenanceRecorder rec;
@@ -259,7 +259,7 @@ TEST(ProvenanceDisabledTest, StartCannotArm) {
   EXPECT_EQ(rec.record_count(), 0u);
 }
 
-#endif  // KGLINK_PROVENANCE_ENABLED
+#endif  // KGLINK_OBS_ENABLED
 
 }  // namespace
 }  // namespace kglink

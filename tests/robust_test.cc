@@ -5,9 +5,11 @@
 
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "linker/pipeline.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "robust/fault_injector.h"
 #include "search/search_engine.h"
@@ -201,6 +203,28 @@ TEST_F(DegradedPipelineTest, AllFaultsYieldDegradedPlmOnlyTable) {
                 .GetCounter("robust.degraded_tables")
                 .value(),
             1);
+}
+
+// A degraded table is counted, not logged: under faults or overload most
+// tables can degrade, and a per-table warning would flood stderr.
+TEST_F(DegradedPipelineTest, DegradedTableIsCountedNotLogged) {
+  obs::Counter& degraded =
+      obs::MetricsRegistry::Global().GetCounter("robust.degraded_tables");
+  degraded.Reset();
+  std::vector<std::string> lines;
+  obs::SetLogSink([&lines](obs::LogLevel, const std::string& line) {
+    lines.push_back(line);
+  });
+  linker::KgPipeline pipeline(&kg_, engine_.get(), {});
+  RequestContext rc;
+  rc.deadline = Deadline::Expired();
+  linker::ProcessedTable out = pipeline.Process(tbl_, &rc);
+  obs::SetLogSink(nullptr);
+
+  EXPECT_TRUE(out.degraded);
+  EXPECT_EQ(out.degrade_reason, "deadline");
+  EXPECT_EQ(degraded.value(), 1);
+  EXPECT_TRUE(lines.empty()) << lines.front();
 }
 
 TEST_F(DegradedPipelineTest, InjectedFaultIsNeverRetried) {

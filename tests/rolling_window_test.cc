@@ -306,7 +306,7 @@ TEST(RequestTelemetryTest, ExclusiveLinkSubtractsNestedStages) {
   t.AddStage(Stage::kLink, 1'000);      // inclusive
   t.AddStage(Stage::kTopK, 300);        // nested in link
   t.AddStage(Stage::kCellCache, 200);   // nested in link
-  t.AddStage(Stage::kEncode, 400);
+  t.AddStage(Stage::kPredict, 400);
   t.AddStage(Stage::kQueueWait, 50);
   EXPECT_EQ(t.exclusive_stage_us(Stage::kLink), 500u);
   EXPECT_EQ(t.exclusive_stage_us(Stage::kTopK), 300u);
@@ -335,8 +335,9 @@ TEST(RequestTelemetryTest, JsonCarriesStagesAndEvents) {
   ASSERT_TRUE(doc.has_value());
   const JsonValue* stages = doc->Find("stages");
   ASSERT_NE(stages, nullptr);
-  EXPECT_DOUBLE_EQ(stages->NumberOr("link_us", -1.0), 500.0);  // exclusive
-  EXPECT_DOUBLE_EQ(stages->NumberOr("topk_us", -1.0), 400.0);
+  EXPECT_DOUBLE_EQ(stages->NumberOr("linker.process_us", -1.0),
+                   500.0);  // exclusive
+  EXPECT_DOUBLE_EQ(stages->NumberOr("search.topk_us", -1.0), 400.0);
   EXPECT_DOUBLE_EQ(doc->NumberOr("degrade_events", -1.0), 2.0);
   EXPECT_DOUBLE_EQ(doc->NumberOr("cache_hits", -1.0), 7.0);
   EXPECT_DOUBLE_EQ(doc->NumberOr("stage_total_us", -1.0), 900.0);

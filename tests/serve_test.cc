@@ -339,13 +339,13 @@ TEST_F(ServeTest, StageTelemetrySumsWithinEndToEndLatency) {
     // remainder, independent of the build-time telemetry gate.
     EXPECT_EQ(r.telemetry.stage_count(obs::Stage::kQueueWait), 1u);
     EXPECT_GE(r.telemetry.stage_count(obs::Stage::kPostProcess), 1u);
-#if defined(KGLINK_TELEMETRY_ENABLED)
+#if defined(KGLINK_OBS_ENABLED)
     // Library-layer stages only populate when instrumentation is compiled
-    // in: one link pass, one encode pass, and per linked cell either a TopK
+    // in: one link pass, one predict pass, and per linked cell either a TopK
     // retrieval or a cell-cache hit (earlier tests may have warmed the
     // process-wide cache).
     EXPECT_EQ(r.telemetry.stage_count(obs::Stage::kLink), 1u);
-    EXPECT_EQ(r.telemetry.stage_count(obs::Stage::kEncode), 1u);
+    EXPECT_EQ(r.telemetry.stage_count(obs::Stage::kPredict), 1u);
     EXPECT_GE(r.telemetry.stage_count(obs::Stage::kTopK) +
                   r.telemetry.cache_hits,
               1u);
@@ -413,13 +413,13 @@ TEST_F(ServeTest, FlightRecorderCapturesInducedSlowRequest) {
   ASSERT_NE(stages, nullptr);
   // Post-process (the serving remainder) is always accounted; the linker
   // stage timings additionally show up when telemetry is compiled in.
-  EXPECT_GE(stages->NumberOr("post_process_us", -1.0), 0.0);
-#if defined(KGLINK_TELEMETRY_ENABLED)
+  EXPECT_GE(stages->NumberOr("serve.post_process_us", -1.0), 0.0);
+#if defined(KGLINK_OBS_ENABLED)
   // The injected 20ms sleeps run in the robust gate ahead of the cache
   // check and the retrieval itself, so they are attributed to the link
   // stage (exclusive) — that is what must dominate this record.
-  EXPECT_GE(stages->NumberOr("link_us", 0.0), 10'000.0);
-  EXPECT_GE(stages->NumberOr("topk_us", -1.0), 0.0);  // present
+  EXPECT_GE(stages->NumberOr("linker.process_us", 0.0), 10'000.0);
+  EXPECT_GE(stages->NumberOr("search.topk_us", -1.0), 0.0);  // present
 #endif
 }
 
