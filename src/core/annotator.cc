@@ -246,24 +246,9 @@ Status KgLinkAnnotator::EvalForward(
   return Status::Ok();
 }
 
-double KgLinkAnnotator::ForwardTable(
-    const PreparedTable& prepared, bool training, float loss_scale,
-    std::vector<int>* predictions,
-    std::vector<std::vector<float>>* logits_out) {
-  if (!training) {
-    // Eval callers without a status channel (the train-loop validation and
-    // the legacy Predict* API) keep the zero predictions on failure.
-    Status ignored = EvalForward(prepared, predictions, logits_out);
-    (void)ignored;
-    return 0.0;
-  }
+double KgLinkAnnotator::TrainForward(const PreparedTable& prepared,
+                                     float loss_scale) {
   const bool mask_task = options_.use_mask_task;
-  if (predictions != nullptr) {
-    predictions->assign(prepared.processed.columns.size(), 0);
-  }
-  if (logits_out != nullptr) {
-    logits_out->assign(prepared.processed.columns.size(), {});
-  }
 
   std::vector<SerializedTable> msk_chunks = serializer_->Serialize(
       prepared.processed, LabelSlot::kMask, &prepared.label_texts,
@@ -280,7 +265,7 @@ double KgLinkAnnotator::ForwardTable(
   for (size_t chunk_i = 0; chunk_i < msk_chunks.size(); ++chunk_i) {
     const SerializedTable& chunk = msk_chunks[chunk_i];
     nn::Tensor hidden =
-        model_->Encode(chunk.tokens, chunk.segments, *rng_, training);
+        model_->Encode(chunk.tokens, chunk.segments, *rng_, /*training=*/true);
 
     // Composed per-column vectors phi(Ycls, Yfv).
     std::vector<nn::Tensor> composed;
@@ -297,28 +282,11 @@ double KgLinkAnnotator::ForwardTable(
       if (options_.use_feature_vector && info.has_feature) {
         feature_tokens = serializer_->EncodeFeature(info.feature_sequence);
       }
-      nn::Tensor fv = model_->FeatureVector(feature_tokens, *rng_, training);
+      nn::Tensor fv =
+          model_->FeatureVector(feature_tokens, *rng_, /*training=*/true);
       composed.push_back(model_->Compose(cls_vec, fv));
     }
-    nn::Tensor column_vectors = nn::ConcatRows(composed);
-    nn::Tensor logits = model_->Classify(column_vectors);
-
-    if (predictions != nullptr) {
-      const auto& data = logits.data();
-      int num_labels = logits.cols();
-      for (size_t j = 0; j < chunk.columns.size(); ++j) {
-        const float* row = data.data() + j * static_cast<size_t>(num_labels);
-        int best = 0;
-        for (int l = 1; l < num_labels; ++l) {
-          if (row[l] > row[best]) best = l;
-        }
-        size_t source_col = static_cast<size_t>(chunk.columns[j].source_col);
-        (*predictions)[source_col] = best;
-        if (logits_out != nullptr) {
-          (*logits_out)[source_col].assign(row, row + num_labels);
-        }
-      }
-    }
+    nn::Tensor logits = model_->Classify(nn::ConcatRows(composed));
 
     // ----- classification loss over labeled columns -----
     std::vector<int> labeled_rows;
@@ -397,7 +365,9 @@ double KgLinkAnnotator::EvaluatePrepared(
   int64_t total = 0;
   std::vector<int> pred;
   for (const auto& p : tables) {
-    ForwardTable(p, /*training=*/false, 0.0f, &pred);
+    // A failed forward keeps its zero predictions and scores as misses.
+    Status ignored = EvalForward(p, &pred, nullptr);
+    (void)ignored;
     for (size_t c = 0; c < p.labels.size(); ++c) {
       if (p.labels[c] == table::kUnlabeled) continue;
       ++total;
@@ -527,8 +497,7 @@ void KgLinkAnnotator::Fit(const table::Corpus& train,
     int in_batch = 0;
     optimizer.ZeroGrad();
     for (size_t idx : order) {
-      double table_loss = ForwardTable(train_prepared[idx], /*training=*/true,
-                                       loss_scale, nullptr);
+      double table_loss = TrainForward(train_prepared[idx], loss_scale);
       if (robust::MaybeInject(robust::FaultSite::kTrainBatch)) {
         // Injected poison: the batch behaves as if its loss diverged.
         table_loss = std::numeric_limits<double>::quiet_NaN();

@@ -160,14 +160,10 @@ class KgLinkAnnotator : public eval::ColumnAnnotator {
   // feature sequences and label names.
   void BuildVocabulary(const std::vector<PreparedTable>& prepared);
 
-  // Forward pass over one prepared table. In training mode also emits the
-  // combined loss; in eval mode fills `predictions` (per original column).
-  // When `logits_out` is non-null it receives each original column's raw
-  // classifier logits (for the decision-provenance records). Returns the
-  // scalar loss value (0 in eval mode).
-  double ForwardTable(const PreparedTable& prepared, bool training,
-                      float loss_scale, std::vector<int>* predictions,
-                      std::vector<std::vector<float>>* logits_out = nullptr);
+  // Training forward pass over one prepared table: encodes with dropout,
+  // back-propagates the combined loss scaled by `loss_scale`, and returns
+  // the unscaled loss value.
+  double TrainForward(const PreparedTable& prepared, float loss_scale);
 
   // Eval-mode forward pass (the serving hot path). Validates token ids
   // before every encode and classifies per column. On a non-OK return

@@ -190,21 +190,18 @@ World WorldBuilder::Build() {
        {"Batsman", "Bowler", "Wicketkeeper", "All-rounder"}},
       {"tennis", "tennis player", nullptr, {}},
   };
+  // Ids of each sport and of its positions, for the wiring below.
+  std::map<std::string, kg::EntityId> sport_ids;
+  std::map<std::string, std::vector<kg::EntityId>> position_ids;
   for (const auto& s : sports) {
-    AddInstance("sport", "sport", s.sport);
+    sport_ids[s.sport] = AddInstance("sport", "sport", s.sport);
     for (const char* pos : s.positions) {
       kg::EntityId pid = AddInstance("position", "position", pos);
       Relate(pid, "position of sport",
              world_.Instances("sport").back());  // best-effort link
-      (void)pid;
+      position_ids[s.sport].push_back(pid);
     }
   }
-  // Re-fetch sport ids by label for precise wiring below.
-  auto sport_id = [&](const char* name) {
-    auto ids = world_.kg.FindByLabel(name);
-    KGLINK_CHECK(!ids.empty());
-    return ids[0];
-  };
 
   const char* kGenres[] = {"Rock", "Jazz", "Folk",      "Blues", "Electronic",
                            "Pop",  "Metal", "Classical", "Soul",  "Country"};
@@ -232,10 +229,9 @@ World WorldBuilder::Build() {
   // ----- sports -----
   for (const auto& s : sports) {
     std::string pos_category = std::string(s.sport) + " position";
-    for (const char* pos : s.positions) {
-      // Index per-sport position pools for table generation.
-      auto ids = world_.kg.FindByLabel(pos);
-      world_.catalog[pos_category].push_back(ids[0]);
+    // Index per-sport position pools for table generation.
+    for (kg::EntityId pid : position_ids[s.sport]) {
+      world_.catalog[pos_category].push_back(pid);
     }
     if (s.team_type != nullptr) {
       for (int i = 0; i < Scaled(10); ++i) {
@@ -248,7 +244,7 @@ World WorldBuilder::Build() {
         });
         kg::EntityId team = AddInstance(s.team_type, s.team_type, name);
         Relate(team, "located in", city);
-        Relate(team, "plays sport", sport_id(s.sport));
+        Relate(team, "plays sport", sport_ids[s.sport]);
       }
     }
     for (int i = 0; i < ScaledOpen(70); ++i) {
@@ -257,7 +253,7 @@ World WorldBuilder::Build() {
       if (rng_.Bernoulli(0.7)) aliases.push_back(NameGenerator::PersonAlias(name));
       kg::EntityId p =
           AddPerson(s.player_type, s.player_type, name, std::move(aliases));
-      Relate(p, "plays sport", sport_id(s.sport));
+      Relate(p, "plays sport", sport_ids[s.sport]);
       Relate(p, "place of birth", Sample("city"));
       if (s.team_type != nullptr) {
         Relate(p, "member of sports team", Sample(s.team_type));
@@ -371,6 +367,7 @@ World WorldBuilder::Build() {
     Relate(c, "industry", Sample("industry"));
   }
 
+  KGLINK_CHECK(world_.kg.Finalize().ok());  // qids are unique by construction
   return std::move(world_);
 }
 

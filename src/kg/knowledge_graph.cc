@@ -1,6 +1,8 @@
 #include "kg/knowledge_graph.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
 
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -14,132 +16,121 @@ KnowledgeGraph::KnowledgeGraph() {
   KGLINK_CHECK_EQ(sub, kSubclassOf);
 }
 
-void KnowledgeGraph::ResetNeighborCache() {
-  neighbor_cache_.assign(entities_.size(), {});
-  neighbor_cache_valid_.clear();
-  for (size_t i = 0; i < entities_.size(); ++i) {
-    neighbor_cache_valid_.emplace_back(false);
-  }
-}
-
-void KnowledgeGraph::AdoptFrozenState(const KnowledgeGraph& other) {
-  frozen_ = other.frozen_;
-  flat_edges_ = other.flat_edges_;
-  edge_offsets_ = other.edge_offsets_;
-  flat_neighbors_ = other.flat_neighbors_;
-  neighbor_offsets_ = other.neighbor_offsets_;
-  qid_sorted_ = other.qid_sorted_;
-  qid_sorted_count_ = other.qid_sorted_count_;
-  label_sorted_ = other.label_sorted_;
-}
-
-KnowledgeGraph::KnowledgeGraph(const KnowledgeGraph& other)
-    : entities_(other.entities_),
-      predicate_labels_(other.predicate_labels_),
-      edges_(other.edges_),
-      num_triples_(other.num_triples_),
-      by_qid_(other.by_qid_),
-      by_label_(other.by_label_) {
-  AdoptFrozenState(other);
-  ResetNeighborCache();
-}
-
-KnowledgeGraph& KnowledgeGraph::operator=(const KnowledgeGraph& other) {
-  if (this == &other) return *this;
-  entities_ = other.entities_;
-  predicate_labels_ = other.predicate_labels_;
-  edges_ = other.edges_;
-  num_triples_ = other.num_triples_;
-  by_qid_ = other.by_qid_;
-  by_label_ = other.by_label_;
-  AdoptFrozenState(other);
-  ResetNeighborCache();
-  return *this;
-}
-
-KnowledgeGraph::KnowledgeGraph(KnowledgeGraph&& other) noexcept
-    : entities_(std::move(other.entities_)),
-      predicate_labels_(std::move(other.predicate_labels_)),
-      edges_(std::move(other.edges_)),
-      num_triples_(other.num_triples_),
-      by_qid_(std::move(other.by_qid_)),
-      by_label_(std::move(other.by_label_)) {
-  AdoptFrozenState(other);
-  other.frozen_ = false;
-  other.flat_edges_ = nullptr;
-  other.edge_offsets_ = nullptr;
-  other.flat_neighbors_ = nullptr;
-  other.neighbor_offsets_ = nullptr;
-  other.qid_sorted_ = nullptr;
-  other.qid_sorted_count_ = 0;
-  other.label_sorted_ = nullptr;
-  other.num_triples_ = 0;
-  other.ResetNeighborCache();
-  ResetNeighborCache();
-}
-
-KnowledgeGraph& KnowledgeGraph::operator=(KnowledgeGraph&& other) noexcept {
-  if (this == &other) return *this;
-  entities_ = std::move(other.entities_);
-  predicate_labels_ = std::move(other.predicate_labels_);
-  edges_ = std::move(other.edges_);
-  num_triples_ = other.num_triples_;
-  by_qid_ = std::move(other.by_qid_);
-  by_label_ = std::move(other.by_label_);
-  AdoptFrozenState(other);
-  other.frozen_ = false;
-  other.flat_edges_ = nullptr;
-  other.edge_offsets_ = nullptr;
-  other.flat_neighbors_ = nullptr;
-  other.neighbor_offsets_ = nullptr;
-  other.qid_sorted_ = nullptr;
-  other.qid_sorted_count_ = 0;
-  other.label_sorted_ = nullptr;
-  other.num_triples_ = 0;
-  other.ResetNeighborCache();
-  ResetNeighborCache();
-  return *this;
-}
-
 EntityId KnowledgeGraph::AddEntity(Entity entity) {
-  KGLINK_CHECK(!frozen_) << "AddEntity on a frozen (snapshot-backed) graph";
-  EntityId id = static_cast<EntityId>(entities_.size());
-  if (!entity.qid.empty()) {
-    auto [it, inserted] = by_qid_.emplace(entity.qid, id);
-    KGLINK_CHECK(inserted) << "duplicate qid " << entity.qid;
-  }
-  by_label_[entity.label].push_back(id);
+  KGLINK_CHECK(!finalized_) << "AddEntity on a frozen (finalized) graph";
   entities_.push_back(std::move(entity));
-  edges_.emplace_back();
-  neighbor_cache_.emplace_back();
-  neighbor_cache_valid_.emplace_back(false);
-  return id;
+  return static_cast<EntityId>(entities_.size() - 1);
 }
 
 PredicateId KnowledgeGraph::AddPredicate(const std::string& label) {
-  KGLINK_CHECK(!frozen_) << "AddPredicate on a frozen (snapshot-backed) graph";
+  KGLINK_CHECK(!finalized_) << "AddPredicate on a frozen (finalized) graph";
   predicate_labels_.push_back(label);
   return static_cast<PredicateId>(predicate_labels_.size() - 1);
 }
 
 void KnowledgeGraph::AddTriple(EntityId subject, PredicateId predicate,
                                EntityId object) {
-  KGLINK_CHECK(!frozen_) << "AddTriple on a frozen (snapshot-backed) graph";
+  KGLINK_CHECK(!finalized_) << "AddTriple on a frozen (finalized) graph";
   KGLINK_CHECK(subject >= 0 && subject < num_entities());
   KGLINK_CHECK(object >= 0 && object < num_entities());
   KGLINK_CHECK(predicate >= 0 && predicate < num_predicates());
-  edges_[subject].push_back({predicate, object, /*forward=*/true});
-  edges_[object].push_back({predicate, subject, /*forward=*/false});
-  // Mutation is construction-time-only with respect to concurrent readers
-  // (see NeighborSet), so relaxed invalidation is sufficient.
-  neighbor_cache_valid_[subject].store(false, std::memory_order_relaxed);
-  neighbor_cache_valid_[object].store(false, std::memory_order_relaxed);
+  triples_.push_back({subject, predicate, object});
   ++num_triples_;
 }
 
-StatusOr<KnowledgeGraph> KnowledgeGraph::FromFrozen(
+Status KnowledgeGraph::Finalize() {
+  KGLINK_CHECK(!finalized_) << "Finalize called twice";
+  const size_t n = entities_.size();
+  auto qid_of = [this](EntityId id) -> const std::string& {
+    return entities_[static_cast<size_t>(id)].qid;
+  };
+  auto label_of = [this](EntityId id) -> const std::string& {
+    return entities_[static_cast<size_t>(id)].label;
+  };
+
+  // Lookup indexes first, so a duplicate qid fails before anything else
+  // is built.
+  std::vector<EntityId> qid_sorted;
+  std::vector<EntityId> label_sorted(n);
+  for (size_t i = 0; i < n; ++i) {
+    const EntityId id = static_cast<EntityId>(i);
+    if (!qid_of(id).empty()) qid_sorted.push_back(id);
+    label_sorted[i] = id;
+  }
+  std::sort(qid_sorted.begin(), qid_sorted.end(),
+            [&](EntityId a, EntityId b) { return qid_of(a) < qid_of(b); });
+  for (size_t i = 1; i < qid_sorted.size(); ++i) {
+    if (qid_of(qid_sorted[i - 1]) == qid_of(qid_sorted[i])) {
+      return Status::Corruption("duplicate qid " + qid_of(qid_sorted[i]));
+    }
+  }
+  std::sort(label_sorted.begin(), label_sorted.end(),
+            [&](EntityId a, EntityId b) {
+              const std::string& la = label_of(a);
+              const std::string& lb = label_of(b);
+              return la != lb ? la < lb : a < b;
+            });
+
+  // Edge runs: a counting sort of the triples, which keeps each entity's
+  // edges in insertion order.
+  owned_edge_offsets_.assign(n + 1, 0);
+  for (const Triple& t : triples_) {
+    ++owned_edge_offsets_[static_cast<size_t>(t.subject) + 1];
+    ++owned_edge_offsets_[static_cast<size_t>(t.object) + 1];
+  }
+  for (size_t i = 0; i < n; ++i) {
+    owned_edge_offsets_[i + 1] += owned_edge_offsets_[i];
+  }
+  owned_edges_.resize(owned_edge_offsets_[n]);
+  std::vector<uint64_t> cursor(owned_edge_offsets_.begin(),
+                               owned_edge_offsets_.end() - 1);
+  for (const Triple& t : triples_) {
+    owned_edges_[cursor[static_cast<size_t>(t.subject)]++] = {
+        t.predicate, t.object, /*forward=*/true};
+    owned_edges_[cursor[static_cast<size_t>(t.object)]++] = {
+        t.predicate, t.subject, /*forward=*/false};
+  }
+  std::vector<Triple>().swap(triples_);
+
+  // Neighbour runs: each entity's edge targets, sorted and deduplicated.
+  owned_neighbor_offsets_.assign(1, 0);
+  owned_neighbor_offsets_.reserve(n + 1);
+  owned_neighbors_.reserve(owned_edges_.size());
+  for (size_t i = 0; i < n; ++i) {
+    const size_t begin = owned_neighbors_.size();
+    for (uint64_t e = owned_edge_offsets_[i]; e < owned_edge_offsets_[i + 1];
+         ++e) {
+      owned_neighbors_.push_back(owned_edges_[e].target);
+    }
+    auto first = owned_neighbors_.begin() + static_cast<std::ptrdiff_t>(begin);
+    std::sort(first, owned_neighbors_.end());
+    owned_neighbors_.erase(std::unique(first, owned_neighbors_.end()),
+                           owned_neighbors_.end());
+    owned_neighbor_offsets_.push_back(owned_neighbors_.size());
+  }
+  owned_qid_sorted_ = std::move(qid_sorted);
+  owned_label_sorted_ = std::move(label_sorted);
+
+  topo_.num_entities = n;
+  topo_.edges = owned_edges_.data();
+  topo_.edge_offsets = owned_edge_offsets_.data();
+  topo_.neighbors = owned_neighbors_.data();
+  topo_.neighbor_offsets = owned_neighbor_offsets_.data();
+  topo_.qid_sorted = owned_qid_sorted_.data();
+  topo_.qid_sorted_count = owned_qid_sorted_.size();
+  topo_.label_sorted = owned_label_sorted_.data();
+  finalized_ = true;
+  return Status::Ok();
+}
+
+FrozenTopologyView KnowledgeGraph::View() const {
+  KGLINK_CHECK(finalized_) << "View() before Finalize";
+  return topo_;
+}
+
+KnowledgeGraph KnowledgeGraph::FromFrozen(
     std::vector<Entity> entities, std::vector<std::string> predicate_labels,
-    int64_t num_triples, const FrozenTopologyView& topo) {
+    const FrozenTopologyView& topo) {
   KGLINK_CHECK_EQ(static_cast<int64_t>(topo.num_entities),
                   static_cast<int64_t>(entities.size()));
   KGLINK_CHECK(predicate_labels.size() >= 2 &&
@@ -149,33 +140,12 @@ StatusOr<KnowledgeGraph> KnowledgeGraph::FromFrozen(
   KnowledgeGraph kg;
   kg.predicate_labels_ = std::move(predicate_labels);
   kg.entities_ = std::move(entities);
-  kg.num_triples_ = num_triples;
-  if (topo.qid_sorted != nullptr && topo.label_sorted != nullptr) {
-    // Borrow the pre-sorted indexes; building the two hash maps would
-    // otherwise dominate a snapshot load.
-    kg.qid_sorted_ = topo.qid_sorted;
-    kg.qid_sorted_count_ = topo.qid_sorted_count;
-    kg.label_sorted_ = topo.label_sorted;
-  } else {
-    kg.by_qid_.reserve(kg.entities_.size());
-    kg.by_label_.reserve(kg.entities_.size());
-    for (size_t i = 0; i < kg.entities_.size(); ++i) {
-      const Entity& e = kg.entities_[i];
-      if (!e.qid.empty()) {
-        auto [it, inserted] =
-            kg.by_qid_.emplace(e.qid, static_cast<EntityId>(i));
-        if (!inserted) {
-          return Status::Corruption("duplicate qid " + e.qid);
-        }
-      }
-      kg.by_label_[e.label].push_back(static_cast<EntityId>(i));
-    }
-  }
-  kg.frozen_ = true;
-  kg.flat_edges_ = topo.edges;
-  kg.edge_offsets_ = topo.edge_offsets;
-  kg.flat_neighbors_ = topo.neighbors;
-  kg.neighbor_offsets_ = topo.neighbor_offsets;
+  // Every triple is stored as a forward and a reverse edge.
+  kg.num_triples_ =
+      static_cast<int64_t>(topo.edge_offsets[topo.num_entities] / 2);
+  kg.topo_ = topo;
+  kg.finalized_ = true;
+  kg.borrowed_ = true;
   return kg;
 }
 
@@ -189,83 +159,55 @@ const std::string& KnowledgeGraph::predicate_label(PredicateId id) const {
   return predicate_labels_[static_cast<size_t>(id)];
 }
 
+size_t KnowledgeGraph::Slot(EntityId id) const {
+  // One compare: a negative id wraps high, and an unfinalized graph has an
+  // empty topology.
+  KGLINK_CHECK(static_cast<uint64_t>(id) < topo_.num_entities)
+      << "bad entity id " << id << ", or a query before Finalize";
+  return static_cast<size_t>(id);
+}
+
 EntityId KnowledgeGraph::FindByQid(const std::string& qid) const {
-  if (qid_sorted_ != nullptr) {
-    if (qid.empty()) return kInvalidEntity;  // empty qids are never indexed
-    const EntityId* end = qid_sorted_ + qid_sorted_count_;
-    const EntityId* it = std::lower_bound(
-        qid_sorted_, end, qid,
-        [this](EntityId id, const std::string& q) {
-          return entities_[static_cast<size_t>(id)].qid < q;
-        });
-    if (it != end && entities_[static_cast<size_t>(*it)].qid == qid) {
-      return *it;
-    }
-    return kInvalidEntity;
-  }
-  auto it = by_qid_.find(qid);
-  return it == by_qid_.end() ? kInvalidEntity : it->second;
+  KGLINK_CHECK(finalized_) << "KnowledgeGraph query before Finalize";
+  if (qid.empty()) return kInvalidEntity;  // empty qids are never indexed
+  const EntityId* end = topo_.qid_sorted + topo_.qid_sorted_count;
+  const EntityId* it = std::lower_bound(
+      topo_.qid_sorted, end, qid, [this](EntityId id, const std::string& q) {
+        return entities_[static_cast<size_t>(id)].qid < q;
+      });
+  if (it != end && entities_[static_cast<size_t>(*it)].qid == qid) return *it;
+  return kInvalidEntity;
 }
 
 std::vector<EntityId> KnowledgeGraph::FindByLabel(
     const std::string& label) const {
-  if (label_sorted_ != nullptr) {
-    const EntityId* end = label_sorted_ + entities_.size();
-    const EntityId* lo = std::lower_bound(
-        label_sorted_, end, label,
-        [this](EntityId id, const std::string& l) {
-          return entities_[static_cast<size_t>(id)].label < l;
-        });
-    std::vector<EntityId> out;
-    // Ties sort by id, so this matches the owned map's insertion order.
-    for (; lo != end && entities_[static_cast<size_t>(*lo)].label == label;
-         ++lo) {
-      out.push_back(*lo);
-    }
-    return out;
+  KGLINK_CHECK(finalized_) << "KnowledgeGraph query before Finalize";
+  const EntityId* end = topo_.label_sorted + topo_.num_entities;
+  const EntityId* lo = std::lower_bound(
+      topo_.label_sorted, end, label,
+      [this](EntityId id, const std::string& l) {
+        return entities_[static_cast<size_t>(id)].label < l;
+      });
+  std::vector<EntityId> out;
+  for (; lo != end && entities_[static_cast<size_t>(*lo)].label == label;
+       ++lo) {
+    out.push_back(*lo);
   }
-  auto it = by_label_.find(label);
-  return it == by_label_.end() ? std::vector<EntityId>{} : it->second;
+  return out;
 }
 
 Span<Edge> KnowledgeGraph::Edges(EntityId id) const {
-  KGLINK_CHECK(id >= 0 && id < num_entities());
-  size_t i = static_cast<size_t>(id);
-  if (frozen_) {
-    uint64_t begin = edge_offsets_[i];
-    uint64_t end = edge_offsets_[i + 1];
-    return {flat_edges_ + begin, static_cast<size_t>(end - begin)};
-  }
-  const std::vector<Edge>& v = edges_[i];
-  return {v.data(), v.size()};
+  const size_t i = Slot(id);
+  const uint64_t begin = topo_.edge_offsets[i];
+  return {topo_.edges + begin,
+          static_cast<size_t>(topo_.edge_offsets[i + 1] - begin)};
 }
 
 Span<EntityId> KnowledgeGraph::NeighborSet(EntityId id) const {
-  KGLINK_CHECK(id >= 0 && id < num_entities());
-  size_t i = static_cast<size_t>(id);
-  if (frozen_) {
-    uint64_t begin = neighbor_offsets_[i];
-    uint64_t end = neighbor_offsets_[i + 1];
-    return {flat_neighbors_ + begin, static_cast<size_t>(end - begin)};
-  }
-  // Fast path: the flag's release store in the fill below makes the cached
-  // vector visible to this acquire load.
-  if (neighbor_cache_valid_[i].load(std::memory_order_acquire)) {
-    const std::vector<EntityId>& v = neighbor_cache_[i];
-    return {v.data(), v.size()};
-  }
-  std::lock_guard<std::mutex> lock(neighbor_mu_);
-  if (!neighbor_cache_valid_[i].load(std::memory_order_relaxed)) {
-    std::vector<EntityId> nbrs;
-    nbrs.reserve(edges_[i].size());
-    for (const Edge& e : edges_[i]) nbrs.push_back(e.target);
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    neighbor_cache_[i] = std::move(nbrs);
-    neighbor_cache_valid_[i].store(true, std::memory_order_release);
-  }
-  const std::vector<EntityId>& v = neighbor_cache_[i];
-  return {v.data(), v.size()};
+  const size_t i = Slot(id);
+  const uint64_t begin = topo_.neighbor_offsets[i];
+  return {topo_.neighbors + begin,
+          static_cast<size_t>(topo_.neighbor_offsets[i + 1] - begin)};
 }
 
 bool KnowledgeGraph::IsNeighbor(EntityId id, EntityId candidate) const {
@@ -380,6 +322,7 @@ StatusOr<KnowledgeGraph> KnowledgeGraph::LoadFromFile(
       return Status::Corruption("unknown record type: " + fields[0]);
     }
   }
+  KGLINK_RETURN_IF_ERROR(kg.Finalize());
   return kg;
 }
 

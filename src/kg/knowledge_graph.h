@@ -1,28 +1,22 @@
-// In-memory property-graph knowledge graph in the WikiData mold: entities
-// with labels/aliases/descriptions, typed predicates (with distinguished
+// Property-graph knowledge graph in the WikiData mold: entities with
+// labels/aliases/descriptions, typed predicates (with distinguished
 // `instance of` / `subclass of`), and one-hop neighbourhood queries — the
 // exact surface KGLink's Part-1 algorithms consume.
 //
-// Topology storage comes in two flavours behind one query surface:
-//  - owned: AddEntity/AddTriple build per-entity edge vectors and a lazily
-//    cached neighbour set;
-//  - frozen: FromFrozen() borrows flat edge / neighbour arrays from an
-//    external read-only mapping (the mmap'd snapshot store) — the big
-//    arrays are never copied; only entity/predicate string metadata and
-//    the qid/label hash indexes are materialized at load.
-// Edges() and NeighborSet() return Spans so callers cannot tell which
-// flavour they are reading; the snapshot parity tests pin the two
-// bit-identical. Frozen graphs reject mutation (checked).
+// The graph has one layout. AddEntity/AddPredicate/AddTriple only build
+// it; Finalize() compacts the triples into CSR arrays (per-entity edge
+// runs and sorted, deduplicated neighbour runs) plus a qid-sorted and a
+// (label, id)-sorted entity index. Those are exactly the arrays the
+// snapshot store serializes, so FromFrozen() points the same query
+// pointers at a read-only snapshot mapping instead of at owned arrays.
+// Every query reads through those pointers: a built graph and a mapped
+// one cannot differ, and the snapshot parity tests pin them equal.
 #ifndef KGLINK_KG_KNOWLEDGE_GRAPH_H_
 #define KGLINK_KG_KNOWLEDGE_GRAPH_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/span.h"
@@ -49,7 +43,7 @@ struct Entity {
 
 // A directed labelled edge viewed from some entity. The layout is pinned
 // (see the static_asserts below) because the snapshot store serializes
-// edge arrays field-by-field into exactly this byte pattern and the frozen
+// edge arrays field-by-field into exactly this byte pattern and a mapped
 // graph reinterprets the mapping in place.
 struct Edge {
   PredicateId predicate;
@@ -62,24 +56,19 @@ static_assert(offsetof(Edge, predicate) == 0 && offsetof(Edge, target) == 4 &&
                   offsetof(Edge, forward) == 8,
               "Edge layout is part of the snapshot format");
 
-// Borrowed view of a frozen topology: flat CSR-style arrays owned by
-// someone else (a read-only snapshot mapping that must outlive any graph
-// constructed from it). Neighbour lists are precomputed sorted+deduped per
-// entity, so the frozen graph needs no lazy cache or locking.
+// Borrowed view of a finalized topology: the flat CSR arrays and sorted
+// lookup indexes, owned by a finalized graph or by a read-only snapshot
+// mapping that must outlive any graph constructed from it.
 struct FrozenTopologyView {
   uint64_t num_entities = 0;
   const Edge* edges = nullptr;             // [edge_offsets[num_entities]]
   const uint64_t* edge_offsets = nullptr;  // [num_entities + 1]
   const EntityId* neighbors = nullptr;  // [neighbor_offsets[num_entities]]
   const uint64_t* neighbor_offsets = nullptr;  // [num_entities + 1]
-  // Optional sorted lookup indexes. When provided, FromFrozen builds no
-  // qid/label hash maps — FindByQid/FindByLabel binary-search these arrays
-  // in place (the dominant cost of a snapshot load otherwise). qid_sorted
-  // lists the entities with a non-empty qid in strictly ascending qid
-  // order; label_sorted lists every entity in (label, id) order. The
-  // caller must have verified the ordering (the snapshot loader does).
-  const EntityId* qid_sorted = nullptr;    // [qid_sorted_count]
+  // The entities with a non-empty qid, in strictly ascending qid order.
+  const EntityId* qid_sorted = nullptr;  // [qid_sorted_count]
   uint64_t qid_sorted_count = 0;
+  // Every entity, in (label, id) order.
   const EntityId* label_sorted = nullptr;  // [num_entities]
 };
 
@@ -91,40 +80,44 @@ class KnowledgeGraph {
 
   KnowledgeGraph();
 
-  // Copies and moves are supported (the graph is returned by value from
-  // LoadFromFile and embedded in data::World); the lazy neighbour cache
-  // and its synchronization state are reset rather than transferred, so
-  // they rebuild on first use. Copying a *frozen* graph yields another
-  // borrowed view of the same external mapping (the flat arrays are not
-  // duplicated). Not safe concurrently with readers of either side.
-  KnowledgeGraph(const KnowledgeGraph& other);
-  KnowledgeGraph& operator=(const KnowledgeGraph& other);
-  KnowledgeGraph(KnowledgeGraph&& other) noexcept;
-  KnowledgeGraph& operator=(KnowledgeGraph&& other) noexcept;
+  // Move-only: the finalized arrays are reached through raw pointers (owned
+  // heap arrays or a borrowed mapping) that stay valid across moves but
+  // would dangle across a naive copy.
+  KnowledgeGraph(const KnowledgeGraph&) = delete;
+  KnowledgeGraph& operator=(const KnowledgeGraph&) = delete;
+  KnowledgeGraph(KnowledgeGraph&&) = default;
+  KnowledgeGraph& operator=(KnowledgeGraph&&) = default;
 
   // ----- construction -----
-  // Mutators are a checked programming error on a frozen graph.
+  // Mutators are a checked programming error once the graph is finalized.
   EntityId AddEntity(Entity entity);
   PredicateId AddPredicate(const std::string& label);
   void AddTriple(EntityId subject, PredicateId predicate, EntityId object);
 
-  // Builds a graph whose topology *borrows* `topo`'s flat arrays — no edge
-  // or neighbour copies; entity/predicate metadata and the qid/label maps
-  // are materialized from the (already-parsed) arguments. The memory
-  // behind `topo` must outlive the returned graph. The caller is
-  // responsible for having bounds-checked the view (the snapshot loader
-  // validates sections before handing views out). When `topo` carries the
-  // sorted lookup indexes, no hash maps are built and this always
-  // succeeds (the caller verified ordering, which implies unique qids);
-  // without them the maps are materialized here and duplicate non-empty
-  // qids are reported as kCorruption.
-  static StatusOr<KnowledgeGraph> FromFrozen(
-      std::vector<Entity> entities,
-      std::vector<std::string> predicate_labels, int64_t num_triples,
-      const FrozenTopologyView& topo);
+  // Freezes the graph: lays the edges out per entity (insertion order, a
+  // forward edge at the subject and a reverse one at the object), builds
+  // each entity's sorted neighbour run and sorts the qid and label
+  // indexes. Must be called once, before any topology or lookup query.
+  // Two entities sharing a non-empty qid are reported as kCorruption and
+  // leave the graph unfinalized.
+  Status Finalize();
 
-  // True when the topology lives in external memory (FromFrozen).
-  bool frozen() const { return frozen_; }
+  // Borrowed view over the finalized arrays, for snapshot serialization.
+  // Valid only while the graph is alive. Requires finalized().
+  FrozenTopologyView View() const;
+
+  // Constructs a finalized graph whose topology and indexes *borrow*
+  // `topo`'s arrays — nothing is copied; only the entity and predicate
+  // metadata are owned. The memory behind `topo` must outlive the graph.
+  // The caller must have validated the view (bounds, sorted runs and
+  // indexes, two edges per triple); the snapshot loader does.
+  static KnowledgeGraph FromFrozen(std::vector<Entity> entities,
+                                   std::vector<std::string> predicate_labels,
+                                   const FrozenTopologyView& topo);
+
+  bool finalized() const { return finalized_; }
+  // True when the arrays live in external memory (FromFrozen).
+  bool borrowed() const { return borrowed_; }
 
   // ----- lookup -----
   int64_t num_entities() const { return static_cast<int64_t>(entities_.size()); }
@@ -135,22 +128,16 @@ class KnowledgeGraph {
   const Entity& entity(EntityId id) const;
   const std::string& predicate_label(PredicateId id) const;
   EntityId FindByQid(const std::string& qid) const;
-  // All entities whose primary label matches exactly (case-sensitive).
+  // All entities whose primary label matches exactly (case-sensitive), in
+  // ascending id order.
   std::vector<EntityId> FindByLabel(const std::string& label) const;
 
   // ----- topology -----
   // All edges incident to `id` (both directions), insertion order.
   Span<Edge> Edges(EntityId id) const;
   // Deduplicated, sorted one-hop neighbour entity ids (both directions).
-  // Owned graphs build this lazily and cache it (invalidated by AddTriple);
-  // frozen graphs read the precomputed lists straight from the mapping.
-  //
-  // Thread-safety: safe to call concurrently with other const lookups once
-  // construction is over (the serving contract for the whole class —
-  // mutators must not run concurrently with readers). The lazy cache fill
-  // uses a per-entity published flag with double-checked locking, so the
-  // common already-cached read is one acquire load; the frozen path is a
-  // plain array read.
+  // Like every query on a finalized graph, a plain read of immutable
+  // arrays: safe from any number of threads.
   Span<EntityId> NeighborSet(EntityId id) const;
   // True if `candidate` is a one-hop neighbour of `id`.
   bool IsNeighbor(EntityId id, EntityId candidate) const;
@@ -164,44 +151,38 @@ class KnowledgeGraph {
 
   // ----- persistence (TSV) -----
   Status SaveToFile(const std::string& path) const;
+  // Returns a finalized graph; kCorruption on a malformed file.
   static StatusOr<KnowledgeGraph> LoadFromFile(const std::string& path);
 
  private:
-  // Empties the cache and re-sizes the flag deque to the entity count.
-  void ResetNeighborCache();
-  // Copies the frozen borrow state from `other` (used by copy/move ops).
-  void AdoptFrozenState(const KnowledgeGraph& other);
+  struct Triple {
+    EntityId subject;
+    PredicateId predicate;
+    EntityId object;
+  };
+
+  // Checked index of `id` into the finalized topology.
+  size_t Slot(EntityId id) const;
 
   std::vector<Entity> entities_;
   std::vector<std::string> predicate_labels_;
-  std::vector<std::vector<Edge>> edges_;  // per entity, both directions
   int64_t num_triples_ = 0;
-  std::unordered_map<std::string, EntityId> by_qid_;
-  std::unordered_map<std::string, std::vector<EntityId>> by_label_;
+  bool finalized_ = false;
+  bool borrowed_ = false;
+  // Build-time triples in insertion order; released by Finalize().
+  std::vector<Triple> triples_;
 
-  // Frozen (borrowed) topology; set only by FromFrozen. When frozen_ is
-  // true, edges_ and the neighbour cache stay empty and every topology
-  // read goes through these pointers into the external mapping.
-  bool frozen_ = false;
-  const Edge* flat_edges_ = nullptr;
-  const uint64_t* edge_offsets_ = nullptr;
-  const EntityId* flat_neighbors_ = nullptr;
-  const uint64_t* neighbor_offsets_ = nullptr;
-  // Borrowed sorted lookup indexes (see FrozenTopologyView). When set,
-  // by_qid_/by_label_ stay empty and lookups binary-search these instead.
-  const EntityId* qid_sorted_ = nullptr;
-  uint64_t qid_sorted_count_ = 0;
-  const EntityId* label_sorted_ = nullptr;
+  // Arrays Finalize() builds (empty when borrowed).
+  std::vector<Edge> owned_edges_;
+  std::vector<uint64_t> owned_edge_offsets_;
+  std::vector<EntityId> owned_neighbors_;
+  std::vector<uint64_t> owned_neighbor_offsets_;
+  std::vector<EntityId> owned_qid_sorted_;
+  std::vector<EntityId> owned_label_sorted_;
 
-  // Lazy neighbour-set cache (cleared on mutation; unused when frozen).
-  // The ready flags are per-entity atomics (a deque so growth never moves
-  // existing elements); a set flag published with release order guarantees
-  // the cached vector is visible to any reader that observed the flag with
-  // acquire order. vector<bool> is unusable here: neighbouring bits share
-  // a byte, so even distinct-entity writes would race.
-  mutable std::vector<std::vector<EntityId>> neighbor_cache_;
-  mutable std::deque<std::atomic<bool>> neighbor_cache_valid_;
-  mutable std::mutex neighbor_mu_;  // serializes cache fills only
+  // The query path reads only this; it points at the owned arrays above or
+  // at a snapshot mapping. Stable across moves either way.
+  FrozenTopologyView topo_;
 };
 
 }  // namespace kglink::kg

@@ -21,9 +21,11 @@ void Scope::Open(const char* name) {
       profiler_internal::PushFrame(name)) {
     opened_ |= scope_internal::kProfileArmed;
   }
-  if ((armed & scope_internal::kTraceArmed) != 0) {
+  // A begin event dropped by the full buffer opens no span: no depth, and
+  // Close() records no end.
+  if ((armed & scope_internal::kTraceArmed) != 0 &&
+      TraceRecorder::Global().Record(name, 'B', t_trace_depth)) {
     depth_ = t_trace_depth++;
-    TraceRecorder::Global().Record(name, 'B', depth_);
     opened_ |= scope_internal::kTraceArmed;
   }
 }

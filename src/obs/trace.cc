@@ -1,10 +1,25 @@
 #include "obs/trace.h"
 
+#include <atomic>
+
 #include "obs/json_util.h"
+#include "obs/metrics.h"
 #include "obs/scope.h"
 #include "util/csv.h"
 
 namespace kglink::obs {
+
+namespace {
+
+// Ordinal of the calling thread, assigned on its first trace event.
+int ThreadOrdinal() {
+  static std::atomic<int> next{0};
+  thread_local const int ordinal =
+      next.fetch_add(1, std::memory_order_relaxed) + 1;
+  return ordinal;
+}
+
+}  // namespace
 
 TraceRecorder& TraceRecorder::Global() {
   static TraceRecorder& recorder = *new TraceRecorder();
@@ -24,13 +39,21 @@ void TraceRecorder::Stop() {
                                     std::memory_order_release);
 }
 
-void TraceRecorder::Record(const char* name, char phase, int depth) {
+bool TraceRecorder::Record(const char* name, char phase, int depth) {
   auto now = std::chrono::steady_clock::now();
+  const int tid = ThreadOrdinal();
   std::lock_guard<std::mutex> lock(mu_);
+  if (phase == 'B' && events_.size() >= kMaxEvents) {
+    static Counter& dropped =
+        MetricsRegistry::Global().GetCounter("trace.events_dropped");
+    dropped.Add();
+    return false;
+  }
   int64_t ts =
       std::chrono::duration_cast<std::chrono::microseconds>(now - origin_)
           .count();
-  events_.push_back(TraceEvent{name, phase, ts, depth});
+  events_.push_back(TraceEvent{name, phase, ts, depth, tid});
+  return true;
 }
 
 size_t TraceRecorder::event_count() const {
@@ -54,7 +77,7 @@ std::string TraceRecorder::ExportChromeJson() const {
     out += ", \"ph\": \"";
     out += e.phase;
     out += "\", \"ts\": " + std::to_string(e.ts_us);
-    out += ", \"pid\": 1, \"tid\": 1";
+    out += ", \"pid\": 1, \"tid\": " + std::to_string(e.tid);
     out += ", \"args\": {\"depth\": " + std::to_string(e.depth) + "}}";
   }
   out += first ? "]}\n" : "\n]}\n";

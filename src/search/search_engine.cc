@@ -228,32 +228,13 @@ void SearchEngine::BindFrozenTables(const FrozenIndexView& view) {
   num_postings_ = view.num_postings;
   flat_postings_ = view.postings;
 
-  // Detect the sorted layouts Finalize always produces (terms are laid
-  // out lexicographically; IndexKnowledgeGraph adds docs in ascending id
-  // order). When present, lookups binary-search the frozen tables in
-  // place and the two hash indexes are skipped entirely — this is most of
-  // the cost of constructing an engine from a snapshot. The O(n) scans
-  // allocate nothing; an unsorted view (hand-built, or docs added in
-  // arbitrary id order) falls back to the maps.
-  terms_lex_sorted_ = true;
-  for (uint64_t i = 1; i < num_terms_; ++i) {
-    if (TermText(term_entries_[i - 1]) >= TermText(term_entries_[i])) {
-      terms_lex_sorted_ = false;
-      break;
-    }
-  }
+  // Docs added in ascending id order (IndexKnowledgeGraph, hence every
+  // snapshot) are found by binary search; any other order gets the map.
   external_ids_sorted_ = true;
   for (uint64_t i = 1; i < num_docs_; ++i) {
     if (external_ids_[i - 1] >= external_ids_[i]) {
       external_ids_sorted_ = false;
       break;
-    }
-  }
-  terms_.clear();
-  if (!terms_lex_sorted_) {
-    terms_.reserve(num_terms_);
-    for (uint64_t i = 0; i < num_terms_; ++i) {
-      terms_.emplace(TermText(term_entries_[i]), static_cast<uint32_t>(i));
     }
   }
   id_to_index_.clear();
@@ -266,24 +247,12 @@ void SearchEngine::BindFrozenTables(const FrozenIndexView& view) {
 }
 
 const TermEntry* SearchEngine::FindTerm(std::string_view term) const {
-  if (terms_lex_sorted_) {
-    uint64_t lo = 0;
-    uint64_t hi = num_terms_;
-    while (lo < hi) {
-      uint64_t mid = lo + (hi - lo) / 2;
-      if (TermText(term_entries_[mid]) < term) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < num_terms_ && TermText(term_entries_[lo]) == term) {
-      return &term_entries_[lo];
-    }
-    return nullptr;
-  }
-  auto it = terms_.find(term);  // string_view keys: no copy
-  return it == terms_.end() ? nullptr : &term_entries_[it->second];
+  const TermEntry* end = term_entries_ + num_terms_;
+  const TermEntry* it = std::lower_bound(
+      term_entries_, end, term, [this](const TermEntry& e, std::string_view t) {
+        return TermText(e) < t;
+      });
+  return it != end && TermText(*it) == term ? it : nullptr;
 }
 
 int32_t SearchEngine::DocIndexOf(int32_t doc_id) const {

@@ -15,9 +15,8 @@
 //  - owned: Finalize() compacts into heap arrays the engine owns;
 //  - borrowed: FromFrozenView() points the same table pointers at an
 //    external read-only mapping (the mmap'd snapshot store), copying
-//    nothing on the hot path. Only the two small hash indexes (term ->
-//    entry, doc id -> dense index) are rebuilt at load; their keys are
-//    string_views into the mapping.
+//    nothing. Terms are found by binary search over the lexicographically
+//    ordered term table, which the snapshot loader verifies.
 // Both flavours produce bit-identical TopK/Score/ExplainScore results; the
 // snapshot parity tests pin that.
 #ifndef KGLINK_SEARCH_SEARCH_ENGINE_H_
@@ -82,7 +81,7 @@ struct FrozenIndexView {
   const double* doc_norm = nullptr;       // [num_docs]
   const int32_t* external_ids = nullptr;  // [num_docs] dense -> doc_id
   uint64_t num_terms = 0;
-  const TermEntry* terms = nullptr;  // [num_terms], blob-offset ascending
+  const TermEntry* terms = nullptr;  // [num_terms], strictly ascending text
   const char* term_blob = nullptr;   // concatenated sorted term bytes
   uint64_t term_blob_size = 0;
   uint64_t num_postings = 0;
@@ -147,11 +146,10 @@ class SearchEngine {
   FrozenIndexView View() const;
 
   // Constructs a queryable engine that *borrows* every frozen table from
-  // `view` — no posting/norm/blob copies; only the term and doc-id hash
-  // indexes are rebuilt (their keys are views into `view`'s memory). The
-  // memory behind `view` must outlive the returned engine. The caller is
-  // responsible for having bounds-checked the view (the snapshot loader
-  // validates sections before handing views out).
+  // `view` — no posting/norm/blob copies. The memory behind `view` must
+  // outlive the returned engine. The caller is responsible for having
+  // validated the view — bounds, and terms in strictly ascending order —
+  // as the snapshot loader does before handing views out.
   static SearchEngine FromFrozenView(const FrozenIndexView& view);
 
   // True when the frozen tables live in external memory (FromFrozenView).
@@ -192,21 +190,12 @@ class SearchEngine {
   const Bm25Params& params() const { return params_; }
 
  private:
-  // Heterogeneous hashing so FindTerm(string_view) never copies the term.
-  struct TermHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  // Points the query-path table pointers at the owned arrays and builds
-  // the term / doc-id hash indexes. Shared by Finalize and FromFrozenView.
+  // Points the query-path table pointers at `view`'s arrays and builds
+  // the doc-id index when needed. Shared by Finalize and FromFrozenView.
   void BindFrozenTables(const FrozenIndexView& view);
 
-  // Locates a term in the frozen index; nullptr when unseen. Uses binary
-  // search over the (lexicographically laid out) term table when
-  // BindFrozenTables detected that ordering, else the hash map.
+  // Locates a term in the frozen index by binary search over the
+  // lexicographically ordered term table; nullptr when unseen.
   const TermEntry* FindTerm(std::string_view term) const;
   // External doc id -> dense index; a checked error for unknown ids.
   // Binary search over external_ids_ when ascending, else the hash map.
@@ -227,7 +216,7 @@ class SearchEngine {
 
   // Owned frozen tables (valid once finalized in owned mode; empty in
   // borrowed mode). The term blob is a unique_ptr<char[]>, not a string,
-  // so the map's string_view keys survive moves (no SSO relocation).
+  // so term_blob_ survives moves (no SSO relocation).
   std::vector<int32_t> owned_doc_len_;
   std::vector<double> owned_doc_norm_;
   std::vector<int32_t> owned_external_ids_;
@@ -248,16 +237,12 @@ class SearchEngine {
   uint64_t num_postings_ = 0;
   const Posting* flat_postings_ = nullptr;
 
-  // Fallback lookup indexes: term bytes -> entry index, external doc id ->
-  // dense index (keys view the frozen term blob). BindFrozenTables leaves
-  // them EMPTY when it detects the sorted layouts Finalize produces —
-  // lookups then binary-search the frozen tables in place, which makes
-  // constructing an engine from a snapshot allocation-free outside the
-  // build path. id_to_index_ is also the build-time duplicate-id check.
-  bool terms_lex_sorted_ = false;
+  // External doc id -> dense index. BindFrozenTables leaves it EMPTY when
+  // the ids ascend (IndexKnowledgeGraph adds docs in id order, so every
+  // snapshot does) and DocIndexOf binary-searches them in place; callers
+  // that add docs out of id order get the map. It is also the build-time
+  // duplicate-id check.
   bool external_ids_sorted_ = false;
-  std::unordered_map<std::string_view, uint32_t, TermHash, std::equal_to<>>
-      terms_;
   std::unordered_map<int32_t, int32_t> id_to_index_;
 };
 

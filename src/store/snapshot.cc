@@ -241,9 +241,12 @@ Status Snapshot::ValidateSearch() {
     if (sec[6]->size != meta.num_postings * sizeof(search::Posting)) {
       return CorruptSection(SectionId::kSearchPostings, "size/count mismatch");
     }
-    // Every offset/index the borrowed engine will dereference.
+    // Every offset/index the borrowed engine will dereference, and the
+    // strict term order its binary-search lookup relies on.
     const auto* terms =
         reinterpret_cast<const search::TermEntry*>(SectionData(*sec[4]));
+    const char* blob = SectionData(*sec[5]);
+    std::string_view prev_term;
     for (uint64_t i = 0; i < meta.num_terms; ++i) {
       const search::TermEntry& t = terms[i];
       if (t.blob_offset > meta.term_blob_size ||
@@ -251,6 +254,12 @@ Status Snapshot::ValidateSearch() {
         return CorruptSection(SectionId::kSearchTermEntries,
                               "term bytes out of blob bounds");
       }
+      std::string_view term(blob + t.blob_offset, t.term_len);
+      if (i > 0 && prev_term >= term) {
+        return CorruptSection(SectionId::kSearchTermEntries,
+                              "terms not in strictly ascending order");
+      }
+      prev_term = term;
       if (t.posting_begin < 0 ||
           static_cast<uint64_t>(t.posting_begin) > meta.num_postings ||
           t.posting_count >
@@ -607,21 +616,13 @@ StatusOr<kg::KnowledgeGraph> Snapshot::MakeKg() {
       SectionData(*Find(SectionId::kKgNeighbors).value()));
   topo.neighbor_offsets = reinterpret_cast<const uint64_t*>(
       SectionData(*Find(SectionId::kKgNeighborOffsets).value()));
-  // Sorted lookup indexes, validated above; the frozen graph searches
-  // them in place instead of building qid/label hash maps.
   topo.qid_sorted = reinterpret_cast<const kg::EntityId*>(
       SectionData(*Find(SectionId::kKgQidIndex).value()));
   topo.qid_sorted_count = meta.num_qid_entries;
   topo.label_sorted = reinterpret_cast<const kg::EntityId*>(
       SectionData(*Find(SectionId::kKgLabelIndex).value()));
-  auto graph = kg::KnowledgeGraph::FromFrozen(std::move(parsed),
-                                              std::move(predicate_labels),
-                                              meta.num_triples, topo);
-  if (!graph.ok()) {
-    return CorruptSection(SectionId::kKgEntities,
-                          std::string(graph.status().message()));
-  }
-  return graph;
+  return kg::KnowledgeGraph::FromFrozen(std::move(parsed),
+                                        std::move(predicate_labels), topo);
 }
 
 }  // namespace kglink::store

@@ -23,6 +23,12 @@ void AppendPod(std::string& out, const T& v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
+// Appends `count` elements of a padding-free POD array, byte for byte.
+template <typename T>
+void AppendArray(std::string& out, const T* data, uint64_t count) {
+  out.append(reinterpret_cast<const char*>(data), count * sizeof(T));
+}
+
 void PadTo(std::string& out, uint64_t align) {
   while (out.size() % align != 0) out.push_back('\0');
 }
@@ -60,7 +66,11 @@ Status WriteSnapshot(const std::string& path, const kg::KnowledgeGraph& kg,
   if (!engine.finalized()) {
     return Status::FailedPrecondition("snapshot of a non-finalized engine");
   }
+  if (!kg.finalized()) {
+    return Status::FailedPrecondition("snapshot of a non-finalized graph");
+  }
   const search::FrozenIndexView index = engine.View();
+  const kg::FrozenTopologyView topo = kg.View();
 
   std::vector<SectionPayload> sections;
   sections.reserve(kNumSections);
@@ -81,23 +91,17 @@ Status WriteSnapshot(const std::string& path, const kg::KnowledgeGraph& kg,
     meta.avg_doc_len = index.avg_doc_len;
     AppendPod(add(SectionId::kSearchMeta), meta);
   }
-  add(SectionId::kSearchDocLens)
-      .append(reinterpret_cast<const char*>(index.doc_len),
-              index.num_docs * sizeof(int32_t));
-  add(SectionId::kSearchDocNorms)
-      .append(reinterpret_cast<const char*>(index.doc_norm),
-              index.num_docs * sizeof(double));
-  add(SectionId::kSearchDocIds)
-      .append(reinterpret_cast<const char*>(index.external_ids),
-              index.num_docs * sizeof(int32_t));
-  add(SectionId::kSearchTermEntries)
-      .append(reinterpret_cast<const char*>(index.terms),
-              index.num_terms * sizeof(search::TermEntry));
-  add(SectionId::kSearchTermBlob)
-      .append(index.term_blob, index.term_blob_size);
-  add(SectionId::kSearchPostings)
-      .append(reinterpret_cast<const char*>(index.postings),
-              index.num_postings * sizeof(search::Posting));
+  AppendArray(add(SectionId::kSearchDocLens), index.doc_len, index.num_docs);
+  AppendArray(add(SectionId::kSearchDocNorms), index.doc_norm,
+              index.num_docs);
+  AppendArray(add(SectionId::kSearchDocIds), index.external_ids,
+              index.num_docs);
+  AppendArray(add(SectionId::kSearchTermEntries), index.terms,
+              index.num_terms);
+  AppendArray(add(SectionId::kSearchTermBlob), index.term_blob,
+              index.term_blob_size);
+  AppendArray(add(SectionId::kSearchPostings), index.postings,
+              index.num_postings);
 
   // ----- kg sections -----
   const int64_t num_entities = kg.num_entities();
@@ -105,13 +109,8 @@ Status WriteSnapshot(const std::string& path, const kg::KnowledgeGraph& kg,
   std::string entities;
   std::string aliases;
   std::string predicates;
-  std::string edge_offsets;
   std::string edges;
-  std::string neighbor_offsets;
-  std::string neighbors;
   uint64_t num_aliases = 0;
-  uint64_t num_edges = 0;
-  uint64_t num_neighbors = 0;
 
   for (kg::EntityId id = 0; id < num_entities; ++id) {
     const kg::Entity& e = kg.entity(id);
@@ -139,48 +138,11 @@ Status WriteSnapshot(const std::string& path, const kg::KnowledgeGraph& kg,
   for (kg::PredicateId p = 0; p < kg.num_predicates(); ++p) {
     AppendPod(predicates, AddString(strings, kg.predicate_label(p)));
   }
-  for (kg::EntityId id = 0; id < num_entities; ++id) {
-    AppendPod(edge_offsets, num_edges);
-    for (const kg::Edge& e : kg.Edges(id)) {
-      AppendEdge(edges, e);
-      ++num_edges;
-    }
-  }
-  AppendPod(edge_offsets, num_edges);
-  for (kg::EntityId id = 0; id < num_entities; ++id) {
-    AppendPod(neighbor_offsets, num_neighbors);
-    for (kg::EntityId nbr : kg.NeighborSet(id)) {
-      AppendPod(neighbors, nbr);
-      ++num_neighbors;
-    }
-  }
-  AppendPod(neighbor_offsets, num_neighbors);
-
-  // Sorted lookup indexes: the frozen graph binary-searches these borrowed
-  // arrays, so the writer pays the sort once and loads build no hash maps.
-  std::vector<kg::EntityId> qid_sorted;
-  qid_sorted.reserve(num_entities);
-  std::vector<kg::EntityId> label_sorted;
-  label_sorted.reserve(num_entities);
-  for (kg::EntityId id = 0; id < num_entities; ++id) {
-    if (!kg.entity(id).qid.empty()) qid_sorted.push_back(id);
-    label_sorted.push_back(id);
-  }
-  std::sort(qid_sorted.begin(), qid_sorted.end(),
-            [&kg](kg::EntityId a, kg::EntityId b) {
-              return kg.entity(a).qid < kg.entity(b).qid;
-            });
-  std::sort(label_sorted.begin(), label_sorted.end(),
-            [&kg](kg::EntityId a, kg::EntityId b) {
-              const std::string& la = kg.entity(a).label;
-              const std::string& lb = kg.entity(b).label;
-              return la != lb ? la < lb : a < b;
-            });
-  std::string qid_index(reinterpret_cast<const char*>(qid_sorted.data()),
-                        qid_sorted.size() * sizeof(kg::EntityId));
-  std::string label_index(
-      reinterpret_cast<const char*>(label_sorted.data()),
-      label_sorted.size() * sizeof(kg::EntityId));
+  // Topology and lookup indexes: the graph's own finalized arrays.
+  const uint64_t n = static_cast<uint64_t>(num_entities);
+  const uint64_t num_edges = topo.edge_offsets[n];
+  const uint64_t num_neighbors = topo.neighbor_offsets[n];
+  for (uint64_t i = 0; i < num_edges; ++i) AppendEdge(edges, topo.edges[i]);
 
   {
     KgMeta meta;
@@ -191,19 +153,21 @@ Status WriteSnapshot(const std::string& path, const kg::KnowledgeGraph& kg,
     meta.num_neighbors = num_neighbors;
     meta.string_blob_size = strings.size();
     meta.num_triples = kg.num_triples();
-    meta.num_qid_entries = qid_sorted.size();
+    meta.num_qid_entries = topo.qid_sorted_count;
     AppendPod(add(SectionId::kKgMeta), meta);
   }
   add(SectionId::kKgStrings) = std::move(strings);
   add(SectionId::kKgEntities) = std::move(entities);
   add(SectionId::kKgAliases) = std::move(aliases);
   add(SectionId::kKgPredicates) = std::move(predicates);
-  add(SectionId::kKgEdgeOffsets) = std::move(edge_offsets);
+  AppendArray(add(SectionId::kKgEdgeOffsets), topo.edge_offsets, n + 1);
   add(SectionId::kKgEdges) = std::move(edges);
-  add(SectionId::kKgNeighborOffsets) = std::move(neighbor_offsets);
-  add(SectionId::kKgNeighbors) = std::move(neighbors);
-  add(SectionId::kKgQidIndex) = std::move(qid_index);
-  add(SectionId::kKgLabelIndex) = std::move(label_index);
+  AppendArray(add(SectionId::kKgNeighborOffsets), topo.neighbor_offsets,
+              n + 1);
+  AppendArray(add(SectionId::kKgNeighbors), topo.neighbors, num_neighbors);
+  AppendArray(add(SectionId::kKgQidIndex), topo.qid_sorted,
+              topo.qid_sorted_count);
+  AppendArray(add(SectionId::kKgLabelIndex), topo.label_sorted, n);
 
   // ----- assemble: header, section table, header crc, payloads, footer --
   uint64_t header_area = sizeof(SnapshotHeader) +

@@ -146,6 +146,7 @@ class LinkerCacheFixture : public ::testing::Test {
   void SetUp() override {
     rust_ = kg_.AddEntity({"Q1", "Rust", {}, "", false, false, false});
     echo_ = kg_.AddEntity({"Q2", "Echo", {}, "", false, false, false});
+    ASSERT_TRUE(kg_.Finalize().ok());
     engine_ = std::make_unique<search::SearchEngine>(
         search::IndexKnowledgeGraph(kg_));
   }

@@ -39,6 +39,7 @@ class KgFixture : public ::testing::Test {
     kg_.AddTriple(lakers_, KnowledgeGraph::kInstanceOf, team_type_);
     kg_.AddTriple(lebron_, member_of_, lakers_);
     kg_.AddTriple(lebron_, born_in_, akron_);
+    ASSERT_TRUE(kg_.Finalize().ok());
   }
 
   KnowledgeGraph kg_;
@@ -89,11 +90,17 @@ TEST_F(KgFixture, NeighborSetIsSortedUniqueBothDirections) {
   EXPECT_TRUE(kg_.IsNeighbor(bball_, lebron_));
 }
 
-TEST_F(KgFixture, NeighborCacheInvalidatedByMutation) {
-  EXPECT_FALSE(kg_.IsNeighbor(lebron_, human_));
-  PredicateId admires = kg_.AddPredicate("admires");
-  kg_.AddTriple(lebron_, admires, human_);
-  EXPECT_TRUE(kg_.IsNeighbor(lebron_, human_));
+TEST_F(KgFixture, MutationAfterFinalizeDies) {
+  EXPECT_DEATH(kg_.AddTriple(lebron_, member_of_, human_), "frozen");
+  EXPECT_DEATH(kg_.AddEntity({"Q8", "Ohio", {}, "", false, false, false}),
+               "frozen");
+}
+
+TEST(KgTest, QueryBeforeFinalizeDies) {
+  KnowledgeGraph kg;
+  EntityId id = kg.AddEntity({"Q1", "Rust", {}, "", false, false, false});
+  EXPECT_DEATH(kg.NeighborSet(id), "before Finalize");
+  EXPECT_DEATH(kg.FindByQid("Q1"), "before Finalize");
 }
 
 TEST_F(KgFixture, InstanceTypesAndSuperClasses) {
@@ -132,10 +139,18 @@ TEST_F(KgFixture, LoadRejectsCorruptTriples) {
   std::string path =
       (std::filesystem::temp_directory_path() / "kglink_kg_bad.tsv")
           .string();
-  FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("E\tQ1\tthing\t-\t\t\nT\t0\t0\t99\n", f);
-  std::fclose(f);
-  EXPECT_FALSE(KnowledgeGraph::LoadFromFile(path).ok());
+  for (const char* text : {
+           "E\tQ1\tthing\t-\t\t\nT\t0\t0\t99\n",
+           // Two entities sharing a qid: rejected, not a process abort.
+           "E\tQ1\tthing\t-\t\t\nE\tQ1\tother\t-\t\t\n",
+       }) {
+    FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(text, f);
+    std::fclose(f);
+    auto loaded = KnowledgeGraph::LoadFromFile(path);
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << text;
+  }
   std::remove(path.c_str());
 }
 
@@ -143,7 +158,8 @@ TEST(KgTest, DuplicateLabelsAllowed) {
   KnowledgeGraph kg;
   kg.AddEntity({"Q1", "Rust", {}, "", false, false, false});
   kg.AddEntity({"Q2", "Rust", {}, "", false, false, false});
-  EXPECT_EQ(kg.FindByLabel("Rust").size(), 2u);
+  ASSERT_TRUE(kg.Finalize().ok());
+  EXPECT_EQ(kg.FindByLabel("Rust"), (std::vector<EntityId>{0, 1}));
 }
 
 }  // namespace

@@ -50,6 +50,7 @@ class LinkerFixture : public ::testing::Test {
     kg_.AddTriple(echo_, kg::KnowledgeGraph::kInstanceOf, album_type_);
     kg_.AddTriple(rust_, performer_, peter_);
     kg_.AddTriple(echo_, performer_, mia_);
+    ASSERT_TRUE(kg_.Finalize().ok());
     engine_ = std::make_unique<search::SearchEngine>(
         search::IndexKnowledgeGraph(kg_));
     // Fig. 5 table: album | artist.
@@ -429,6 +430,7 @@ TEST_F(LinkerFixture, NonAsciiLabelsLinkEndToEnd) {
   kg.AddTriple(tokyo, kg::KnowledgeGraph::kInstanceOf, city_type);
   kg.AddTriple(koeln, river, rhine);
   kg.AddTriple(tokyo, river, sumida);
+  ASSERT_TRUE(kg.Finalize().ok());
   search::SearchEngine engine = search::IndexKnowledgeGraph(kg);
 
   EntityLinker linker(&kg, &engine, config_);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -427,6 +428,65 @@ TEST(TraceTest, ChromeJsonExportGolden) {
   rec.Start();
   rec.Stop();
   EXPECT_EQ(rec.event_count(), 0u);
+}
+
+// Concurrent threads each get their own track: the merged event stream
+// interleaves, but every tid's events nest and balance on their own.
+TEST(TraceTest, EachThreadRecordsOnItsOwnTrack) {
+  TraceRecorder& rec = TraceRecorder::Global();
+  rec.Start();
+  auto work = [] {
+    for (int i = 0; i < 200; ++i) {
+      Scope outer("thread.outer");
+      Scope inner("thread.inner");
+    }
+  };
+  std::thread a(work);
+  std::thread b(work);
+  a.join();
+  b.join();
+  rec.Stop();
+
+  std::map<int, std::vector<TraceEvent>> by_tid;
+  for (const TraceEvent& e : rec.Events()) by_tid[e.tid].push_back(e);
+  ASSERT_EQ(by_tid.size(), 2u);
+  std::string json = rec.ExportChromeJson();
+  for (const auto& [tid, events] : by_tid) {
+    EXPECT_EQ(events.size(), 800u) << "tid " << tid;
+    EXPECT_EQ(CheckBalanced(events), 2) << "tid " << tid;
+    EXPECT_NE(json.find("\"tid\": " + std::to_string(tid) + ","),
+              std::string::npos)
+        << "tid " << tid;
+  }
+}
+
+// Past kMaxEvents the recorder drops begin events (counted), records no
+// end for them, and keeps the ends of spans it did record.
+TEST(TraceTest, FullBufferDropsBeginsAndStaysBalanced) {
+  TraceRecorder& rec = TraceRecorder::Global();
+  Counter& dropped =
+      MetricsRegistry::Global().GetCounter("trace.events_dropped");
+  const int64_t dropped_before = dropped.value();
+  const size_t cap = TraceRecorder::kMaxEvents;
+  rec.Start();
+  {
+    Scope held("held.open");
+    for (size_t i = 0; i < cap; ++i) {
+      Scope filler("filler");
+    }
+    // Dropped fillers opened no span.
+    EXPECT_EQ(Scope::CurrentDepth(), 1);
+  }
+  rec.Stop();
+
+  // "held.open" B, then cap/2 recorded filler pairs fill the buffer; the
+  // other cap/2 fillers are dropped, and held.open's E is still kept.
+  EXPECT_EQ(dropped.value() - dropped_before, static_cast<int64_t>(cap / 2));
+  std::vector<TraceEvent> events = rec.Events();
+  ASSERT_EQ(events.size(), cap + 2);
+  EXPECT_STREQ(events.back().name, "held.open");
+  EXPECT_EQ(events.back().phase, 'E');
+  EXPECT_EQ(CheckBalanced(events), 2);
 }
 
 class LogTest : public ::testing::Test {

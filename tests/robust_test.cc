@@ -164,6 +164,7 @@ class DegradedPipelineTest : public FaultInjectorTest {
     kg_.AddTriple(echo_, kg::KnowledgeGraph::kInstanceOf, album_type_);
     kg_.AddTriple(rust_, performer, peter_);
     kg_.AddTriple(echo_, performer, mia_);
+    ASSERT_TRUE(kg_.Finalize().ok());
     engine_ = std::make_unique<search::SearchEngine>(
         search::IndexKnowledgeGraph(kg_));
     tbl_ = table::Table::FromStrings(

@@ -155,6 +155,7 @@ TEST(SearchTest, IndexKnowledgeGraphCoversAliases) {
   kg.AddEntity({"Q1", "LeBron James", {"King James"}, "", false, true,
                 false});
   kg.AddEntity({"Q2", "Someone Else", {}, "", false, true, false});
+  ASSERT_TRUE(kg.Finalize().ok());
   SearchEngine e = IndexKnowledgeGraph(kg);
   auto results = e.TopK("King", 5);
   ASSERT_EQ(results.size(), 1u);

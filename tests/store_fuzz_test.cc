@@ -35,6 +35,7 @@ kg::KnowledgeGraph SmallKg() {
   kg.AddTriple(cle, kg::KnowledgeGraph::kInstanceOf, type_city);
   kg.AddTriple(lebron, kg::KnowledgeGraph::kInstanceOf, type_person);
   kg.AddTriple(lebron, born_in, akron);
+  KGLINK_CHECK(kg.Finalize().ok());
   return kg;
 }
 

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/world.h"
@@ -32,6 +35,34 @@ int64_t CounterValue(const char* name) {
 
 bool FileExists(const std::string& path) {
   return ReadFile(path).ok();
+}
+
+// Applies `mutate` to one section's payload, then reseals that section's
+// CRC, the header CRC and the whole-file CRC, so that only the loader's
+// structural checks can catch the change.
+std::string Resealed(std::string bytes, SectionId id,
+                     const std::function<void(char*, uint64_t)>& mutate) {
+  SnapshotHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  for (uint32_t i = 0; i < header.section_count; ++i) {
+    char* slot = bytes.data() + sizeof(header) + i * sizeof(SectionEntry);
+    SectionEntry entry;
+    std::memcpy(&entry, slot, sizeof(entry));
+    if (entry.id != static_cast<uint32_t>(id)) continue;
+    mutate(bytes.data() + entry.offset, entry.size);
+    entry.crc32 = Crc32(std::string_view(bytes.data() + entry.offset,
+                                         entry.size));
+    std::memcpy(slot, &entry, sizeof(entry));
+  }
+  const size_t header_area =
+      sizeof(header) + header.section_count * sizeof(SectionEntry);
+  const uint32_t header_crc =
+      Crc32(std::string_view(bytes.data(), header_area));
+  std::memcpy(bytes.data() + header_area, &header_crc, sizeof(header_crc));
+  const size_t footer = bytes.size() - kFooterBytes;
+  const uint32_t file_crc = Crc32(std::string_view(bytes.data(), footer));
+  std::memcpy(bytes.data() + footer, &file_crc, sizeof(file_crc));
+  return bytes;
 }
 
 class StoreTest : public ::testing::Test {
@@ -132,7 +163,8 @@ TEST_F(StoreTest, RoundTripKgParity) {
   const kg::KnowledgeGraph& mapped = *loaded;
   const kg::KnowledgeGraph& orig = world_->kg;
 
-  EXPECT_TRUE(mapped.frozen());
+  EXPECT_TRUE(mapped.borrowed());
+  EXPECT_FALSE(orig.borrowed());
   ASSERT_EQ(mapped.num_entities(), orig.num_entities());
   EXPECT_EQ(mapped.num_triples(), orig.num_triples());
   ASSERT_EQ(mapped.num_predicates(), orig.num_predicates());
@@ -150,8 +182,8 @@ TEST_F(StoreTest, RoundTripKgParity) {
     ASSERT_EQ(a.is_person, b.is_person);
     ASSERT_EQ(a.is_date, b.is_date);
     EXPECT_EQ(mapped.FindByQid(a.qid), id);
-    // Label lookup goes through the borrowed sorted index on the frozen
-    // side; results must match the owned hash map, order included.
+    // Label lookups binary-search the borrowed index on the mapped side
+    // and the owned one on the built side; order included.
     EXPECT_EQ(mapped.FindByLabel(a.label), orig.FindByLabel(a.label));
 
     auto ea = orig.Edges(id);
@@ -202,6 +234,33 @@ TEST_F(StoreTest, UnfinalizedEngineRejected) {
   search::SearchEngine empty;
   Status s = WriteSnapshot(Path("snap"), world_->kg, empty, {});
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(StoreTest, UnsortedTermTableIsCorruption) {
+  std::string path = WriteGood("snap");
+  auto bytes = ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  // Resealing an untouched section reproduces the file, so the swap below
+  // is the only thing the loader can object to.
+  ASSERT_EQ(Resealed(*bytes, SectionId::kSearchTermEntries,
+                     [](char*, uint64_t) {}),
+            *bytes);
+  // Swapping the first two term entries keeps every bound intact but
+  // breaks the order the engine's binary-search lookup relies on.
+  std::string swapped = Resealed(
+      *bytes, SectionId::kSearchTermEntries, [](char* data, uint64_t size) {
+        ASSERT_GE(size, 2 * sizeof(search::TermEntry));
+        std::swap_ranges(data, data + sizeof(search::TermEntry),
+                         data + sizeof(search::TermEntry));
+      });
+  ASSERT_TRUE(WriteFile(path, swapped).ok());
+
+  auto snap = Snapshot::Open(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kCorruption);
+  std::string msg = snap.status().ToString();
+  EXPECT_NE(msg.find("search.term_entries"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("ascending order"), std::string::npos) << msg;
 }
 
 // ---------------------------------------------------------------------------
